@@ -18,7 +18,7 @@ from .bilinear_ops import (
     check_upper_bound_unitary,
     dft_unitary,
 )
-from .rnmp import RnmpEstimate, certify_exhaustive, estimate_alternating, estimate_brute, matricize
+from .rnmp import RnmpEstimate, certify_exhaustive, estimate_alternating, estimate_brute
 from .bounds import (
     BoundReport,
     SampleCountReport,
@@ -49,6 +49,7 @@ from .recovery import (
     iht,
     model_sparsity,
     oracle_least_squares,
+    output_support,
     phase_transition,
     simulate_problem,
 )

@@ -84,14 +84,6 @@ def _coerce(vec, n: int) -> np.ndarray:
     return v
 
 
-def _convolve_direct(s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # direct summation over the nonzeros of s; no transform involved
-    z = np.zeros_like(h)
-    for k in np.flatnonzero(s):
-        z += s[k] * np.roll(h, k)
-    return z
-
-
 def apply_map(spec: BilinearMapSpec, s, h) -> np.ndarray:
     """Evaluate T(s, h) for the given map; returns a dense real vector.
 
@@ -103,24 +95,14 @@ def apply_map(spec: BilinearMapSpec, s, h) -> np.ndarray:
     n = spec.ambient_dim
     sv = _coerce(s, n)
     hv = _coerce(h, n)
-    if spec.kind == POINTWISE:
-        return sv * hv
-    if spec.kind == CIRCULAR_CONVOLUTION:
-        return _convolve_direct(sv, hv)
-    u = spec.unitary
-    w = np.sqrt(n) * (u.conj().T @ ((u @ sv) * (u @ hv)))
-    scale = max(np.linalg.norm(w), 1.0)
-    imag = np.linalg.norm(w.imag)
-    if imag > ANALYTIC_RTOL * scale:
-        raise ValueError(
-            f"unitary product of real inputs has imaginary residue {imag:.3e}; "
-            "the stored unitary does not define a real-output map"
-        )
-    return np.ascontiguousarray(w.real)
+    # arguments swapped: the batch convolution sums over the nonzeros of
+    # its second argument, and summing over those of s keeps the bits of
+    # the direct sum  z = sum_k s_k roll(h, k)
+    return apply_map_batch(spec, hv[None], sv[None])[0]
 
 
 def apply_map_batch(spec: BilinearMapSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Rowwise T(xs[t], ys[t]) for (T, N) batches; same arithmetic as apply_map."""
+    """Rowwise T(xs[t], ys[t]) for (T, N) batches; apply_map is the one-row case."""
     n = spec.ambient_dim
     if xs.shape != ys.shape or xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError(f"batches must share shape (T, {n})")
@@ -211,7 +193,8 @@ def check_positive_cone_bounds(s, h) -> NormBoundCheck:
     hv = np.asarray(h.values if isinstance(h, SparseVector) else h, dtype=float)
     if sv.min() < 0 or hv.min() < 0:
         raise ValueError("positive-cone bounds require nonnegative entries")
-    lhs = float(np.linalg.norm(_convolve_direct(sv, hv)))
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, sv.size)
+    lhs = float(np.linalg.norm(apply_map(spec, sv, hv)))
     prod = float(np.linalg.norm(sv) * np.linalg.norm(hv))
     k = min(int(np.count_nonzero(sv)), int(np.count_nonzero(hv)))
     return NormBoundCheck.evaluate(lhs, float(np.sqrt(k)) * prod, rhs_lower=prod)
@@ -233,6 +216,7 @@ def check_multiplicativity(s, h, i_set: Support, j_set: Support) -> NormBoundChe
         raise ValueError("s has mass outside I")
     if np.setdiff1d(np.flatnonzero(hv), j_set.as_array()).size:
         raise ValueError("h has mass outside J")
-    lhs = float(np.linalg.norm(_convolve_direct(sv, hv)))
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, n)
+    lhs = float(np.linalg.norm(apply_map(spec, sv, hv)))
     prod = float(np.linalg.norm(sv) * np.linalg.norm(hv))
     return NormBoundCheck.evaluate(lhs, prod, rhs_lower=prod)

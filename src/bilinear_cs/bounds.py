@@ -32,6 +32,9 @@ CASES = (CASE_POINTWISE, CASE_POSITIVE_CONE_CONV, CASE_TENSOR_CONV)
 # net radius divisor for the plain K-sparse subspace route (3/(delta/4) = 12/delta)
 POINTWISE_NET_DIVISOR = 4.0
 
+# covering numbers are (base/eps)^dim, times 7 dim ln(dim) for the Rogers form
+_COVERING_BASE = {BALL: 3.0, POSITIVE_CONE_ROGERS: 4.0, POSITIVE_CONE_SIMPLIFIED: 18.0}
+
 
 def d_constant(alpha: float, beta: float) -> float:
     """Case constant d(alpha, beta): 12 when alpha = beta (norm
@@ -71,13 +74,11 @@ def covering_bound(kind: str, dim: int, eps: float) -> float:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if kind == BALL:
-        return (3.0 / eps) ** dim
-    if kind == POSITIVE_CONE_SIMPLIFIED:
-        return (18.0 / eps) ** dim
+    if kind != POSITIVE_CONE_ROGERS:
+        return (_COVERING_BASE[kind] / eps) ** dim
     if dim < 3:
         raise ValueError("the Rogers form needs dim >= 3; use positive_cone_simplified")
-    return (4.0 / eps) ** dim * 7.0 * dim * math.log(dim)
+    return (_COVERING_BASE[kind] / eps) ** dim * 7.0 * dim * math.log(dim)
 
 
 def rip_probability(cov_x: float, cov_y: float, delta: float, m: int) -> float:
@@ -94,19 +95,21 @@ def rip_probability(cov_x: float, cov_y: float, delta: float, m: int) -> float:
 
 
 def _case_setup(case: str, s: int, f: int, delta: float):
-    """Per-case (d, eps, covering kind, covering dims) used by the
-    composed probability bounds."""
+    """Per-case (beta, d, eps, covering kind, covering dims): the one
+    source of the case constants behind every bound in this module.
+    alpha is 1 in every case; a covering dim of None stands for a
+    covering number of 1."""
     if case == CASE_POINTWISE:
-        k = min(s, f)
-        return POINTWISE_NET_DIVISOR, delta / POINTWISE_NET_DIVISOR, BALL, (k, None)
+        eps = delta / POINTWISE_NET_DIVISOR
+        return 1.0, POINTWISE_NET_DIVISOR, eps, BALL, (min(s, f), None)
     if case == CASE_TENSOR_CONV:
-        d = d_constant(1.0, 1.0)
-        return d, delta / d, BALL, (s, f)
-    if case == CASE_POSITIVE_CONE_CONV:
-        beta = math.sqrt(min(s, f))
-        d = d_constant(1.0, beta)
-        return d, delta / d, POSITIVE_CONE_SIMPLIFIED, (s, f)
-    raise ValueError(f"case must be one of {CASES}, got {case!r}")
+        beta, cover_kind = 1.0, BALL
+    elif case == CASE_POSITIVE_CONE_CONV:
+        beta, cover_kind = math.sqrt(min(s, f)), POSITIVE_CONE_SIMPLIFIED
+    else:
+        raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    d = d_constant(1.0, beta)
+    return beta, d, delta / d, cover_kind, (s, f)
 
 
 def _check_model_range(s: int, f: int, delta: float, m: int):
@@ -128,11 +131,7 @@ def application_probability(case: str, s: int, f: int, delta: float, m: int) -> 
     Implemented as the composition of d_constant, covering_bound and
     rip_probability so the constants emerge rather than being hardcoded.
     """
-    _check_model_range(s, f, delta, m)
-    _, eps, cover_kind, dims = _case_setup(case, s, f, delta)
-    cov_x = covering_bound(cover_kind, dims[0], eps)
-    cov_y = 1.0 if dims[1] is None else covering_bound(cover_kind, dims[1], eps)
-    return rip_probability(cov_x, cov_y, delta, m)
+    return compose_bound_report(case, s, f, delta, m).success_probability_lower
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,10 @@ def compose_bound_report(case: str, s: int, f: int, delta: float, m: int,
     _check_model_range(s, f, delta, m)
     if n is not None and s * f > n:
         raise ValueError(f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
-    d, eps, cover_kind, dims = _case_setup(case, s, f, delta)
+    beta, d, eps, cover_kind, dims = _case_setup(case, s, f, delta)
     cov_x = covering_bound(cover_kind, dims[0], eps)
     cov_y = 1.0 if dims[1] is None else covering_bound(cover_kind, dims[1], eps)
     raw = rip_probability(cov_x, cov_y, delta, m)
-    if case == CASE_POSITIVE_CONE_CONV:
-        alpha, beta = 1.0, math.sqrt(min(s, f))
-    else:
-        alpha, beta = 1.0, 1.0
     return BoundReport(
         d=d,
         c0=c0(delta),
@@ -197,7 +192,7 @@ def compose_bound_report(case: str, s: int, f: int, delta: float, m: int,
         covering_y=cov_y,
         success_probability_lower=raw,
         success_probability_clamped=min(1.0, max(0.0, raw)),
-        alpha=alpha,
+        alpha=1.0,
         beta=beta,
         delta=delta,
         m=m,
@@ -248,10 +243,10 @@ class SampleCountReport:
 
 def union_bound_samples(n: int, s: int, f: int, delta: float, p_target: float,
                         case: str = CASE_TENSOR_CONV) -> SampleCountReport:
-    """Smallest M with 2 L (base/delta)^E exp(-c0 M) <= p_target, where L
-    counts the canonical support pairs and (base, E) is the case constant
-    and exponent.  Solved exactly in log domain (then ceiled), so the
-    result scales as (S + F) log N + log(1/p).
+    """Smallest M with 2 L cov_x cov_y exp(-c0 M) <= p_target, where L
+    counts the canonical support pairs and cov_x cov_y is the case's
+    covering product, as in compose_bound_report.  Solved exactly in log
+    domain (then ceiled), so the result scales as (S + F) log N + log(1/p).
 
     p_target = 1 is admitted (degenerate: only the union-bound mass has
     to be beaten).
@@ -265,24 +260,16 @@ def union_bound_samples(n: int, s: int, f: int, delta: float, p_target: float,
     if not 0.0 < p_target <= 1.0:
         raise ValueError(f"p_target must lie in (0, 1], got {p_target}")
 
-    if case == CASE_POINTWISE:
-        log_base = math.log(12.0 / delta)
-        exponent = min(s, f)
-    elif case == CASE_POSITIVE_CONE_CONV:
-        log_base = math.log(378.0 * math.sqrt(min(s, f)) / delta)
-        exponent = s + f
-    elif case == CASE_TENSOR_CONV:
-        log_base = math.log(36.0 / delta)
-        exponent = s + f
-    else:
-        raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    _, _, eps, cover_kind, dims = _case_setup(case, s, f, delta)
+    log_cover = sum(dim * math.log(_COVERING_BASE[cover_kind] / eps)
+                    for dim in dims if dim is not None)
 
     log_l_exact = _log_binomial(n, s) + _log_binomial(n, f)
     log_l_loose = (s + f) * math.log(n)
     rate = c0(delta)
 
     def solve(log_l):
-        need = math.log(2.0) + log_l + exponent * log_base - math.log(p_target)
+        need = math.log(2.0) + log_l + log_cover - math.log(p_target)
         return max(1, math.ceil(need / rate))
 
     return SampleCountReport(

@@ -11,10 +11,6 @@ Floats are printed with 17 significant digits everywhere (JSON and
 CSV) so doubles reproduce bit-for-bit.  Exit codes: 0 success, 2 bad
 config (the failing field is named), 1 runtime failure; errors go to
 stderr as a one-line JSON record.
-
---threads is accepted and echoed for provenance, but computation here
-is single-threaded; the per-trial seed layout is what would make a
-parallel run equivalent.
 """
 
 from __future__ import annotations
@@ -30,16 +26,14 @@ import numpy as np
 
 from . import __version__
 from .bilinear_ops import CIRCULAR_CONVOLUTION, POINTWISE, BilinearMapSpec
-from .bounds import (CASES, BoundReport, compose_bound_report, d_constant,
-                     union_bound_samples)
+from .bounds import CASES, BoundReport, compose_bound_report, union_bound_samples
 from .recovery import (BilinearModel, PhaseTransitionResult, iht,
-                       model_sparsity, oracle_least_squares, phase_transition,
-                       simulate_problem)
+                       model_sparsity, oracle_least_squares, output_support,
+                       phase_transition, simulate_problem)
 from .rnmp import certify_exhaustive, estimate_alternating, estimate_brute
 from .sensing import (ENSEMBLE_KINDS, DistortionReport, MeasurementEnsemble,
                       concentration_test, generate, rip_monte_carlo)
-from .sparse_model import (CONE_KINDS, SUBSPACE, ConeSpec, support_from_indices,
-                           support_sum)
+from .sparse_model import CONE_KINDS, SUBSPACE, ConeSpec, support_from_indices
 
 SCHEMA_VERSION = 1
 COMMANDS = ("rnmp", "bounds", "rip-mc", "concentration", "recover", "phase")
@@ -64,7 +58,6 @@ class ExperimentConfig:
     seed: int
     output_path: str
     format: str = "json"
-    threads: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -75,8 +68,6 @@ class ExperimentConfig:
             raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
         if not self.output_path:
             raise ConfigError("output", "missing output path")
-        if self.threads < 1:
-            raise ConfigError("threads", f"must be >= 1, got {self.threads}")
 
     def echo(self) -> dict:
         return {
@@ -86,14 +77,12 @@ class ExperimentConfig:
             "seed": self.seed,
             "output": self.output_path,
             "format": self.format,
-            "threads": self.threads,
         }
 
 
 def load_config(path: str, seed_override: Optional[int] = None,
                 output_override: Optional[str] = None,
-                format_override: Optional[str] = None,
-                threads: int = 1) -> ExperimentConfig:
+                format_override: Optional[str] = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -117,7 +106,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
     if output is None:
         raise ConfigError("output", "missing (set in config or pass --output)")
     return ExperimentConfig(command=raw["command"], parameters=params, seed=seed,
-                            output_path=output, format=fmt, threads=threads)
+                            output_path=output, format=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +385,6 @@ def _run_concentration(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     return result.to_json(), None
 
 
-def _model_output_support(model: BilinearModel):
-    """Exact output support for a fixed support pair: intersection for
-    pointwise, modular sumset for convolution."""
-    if model.map_spec.kind == POINTWISE:
-        common = sorted(set(model.cone_x.support.indices) &
-                        set(model.cone_y.support.indices))
-        if not common:
-            raise ValueError("pointwise supports are disjoint; the output is zero")
-        return support_from_indices(common, model.map_spec.ambient_dim)
-    return support_sum(model.cone_x.support, model.cone_y.support)
-
-
 def _run_recover(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     p = dict(config.parameters)
     _check_unknown(p, ("map", "n", "i", "j", "cone_x", "cone_y", "ensemble",
@@ -425,7 +402,7 @@ def _run_recover(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     ensemble = _ensemble(p, n, "M", e_seed)
     problem = simulate_problem(model, generate(ensemble), noise_sigma, s_seed)
     if algorithm == "oracle":
-        result = oracle_least_squares(problem, _model_output_support(model))
+        result = oracle_least_squares(problem, output_support(model))
     else:
         k = _take(p, "k", int, default=model_sparsity(model))
         result = iht(problem, k,
@@ -510,13 +487,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--output", default=None, help="override the output path")
     parser.add_argument("--format", choices=FORMATS, default=None,
                         help="override the output format")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded for provenance; execution is single-threaded")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed,
                              output_override=args.output,
-                             format_override=args.format, threads=args.threads)
+                             format_override=args.format)
     except ConfigError as exc:
         sys.stderr.write(json.dumps(
             {"error": {"kind": "config", "field": exc.field,

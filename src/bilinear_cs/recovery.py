@@ -26,7 +26,7 @@ from .bilinear_ops import (BilinearMapSpec, CIRCULAR_CONVOLUTION, POINTWISE,
                            apply_map)
 from .sensing import GAUSSIAN, _draw
 from .sparse_model import (CONE_KINDS, ConeSpec, Support, sample_cone,
-                           support_sum, unit_cone_directions)
+                           support_from_indices, support_sum, unit_cone_directions)
 
 # images with norm below this are treated as degenerate draws
 _NULL_IMAGE = 1e-12
@@ -119,21 +119,37 @@ class RecoveryResult:
         }
 
 
-def model_sparsity(model: BilinearModel) -> int:
-    """Tight sparsity budget for the model's output.
-
-    Pointwise products live on the support intersection, so min(S, F)
-    suffices.  Circular convolution fills the modular sumset of the two
-    supports, anywhere from max(S, F) up to S*F.  The unitary-conjugated
-    product has no closed-form budget (the output is generically dense),
-    so asking is an error.
+def output_support(model: BilinearModel) -> Support:
+    """The support that holds every output T(x, y) of the model: the
+    intersection I ∩ J for pointwise products, the modular sumset I ⊕ J
+    for circular convolution.  The unitary-conjugated product has no such
+    support (the output is generically dense), so asking is an error.
     """
     kind = model.map_spec.kind
     if kind == POINTWISE:
-        return min(model.cone_x.dim, model.cone_y.dim)
+        common = sorted(set(model.cone_x.support.indices) &
+                        set(model.cone_y.support.indices))
+        if not common:
+            raise ValueError("pointwise supports are disjoint; the output is zero")
+        return support_from_indices(common, model.map_spec.ambient_dim)
     if kind == CIRCULAR_CONVOLUTION:
-        return support_sum(model.cone_x.support, model.cone_y.support).size
-    raise ValueError(f"no output-sparsity budget for map kind {kind!r}")
+        return support_sum(model.cone_x.support, model.cone_y.support)
+    raise ValueError(f"no closed-form output support for map kind {kind!r}")
+
+
+def model_sparsity(model: BilinearModel) -> int:
+    """Sparsity budget for the model's output, at least |output_support|.
+
+    Pointwise products live on I ∩ J; the budget is min(S, F), an upper
+    bound on |I ∩ J| that is reached only when the smaller support lies
+    inside the larger.  Circular convolution gets the exact size of the
+    modular sumset, anywhere from max(S, F) up to S*F.  The
+    unitary-conjugated product has no closed-form budget, so asking is an
+    error.
+    """
+    if model.map_spec.kind == POINTWISE:
+        return min(model.cone_x.dim, model.cone_y.dim)
+    return output_support(model).size
 
 
 def _finish(z_hat: np.ndarray, phi: np.ndarray, y: np.ndarray,

@@ -10,6 +10,11 @@ supremum.  The infimum computed here ranges over all nonzero pairs, which
 is a conservative lower bound for the representation-optimized constant;
 it keeps every probability bound built on top of it valid.
 
+On canonical supports I and J of sizes S and F the restricted map is
+fixed by its basis images B[a, b] = T(e_{i_a}, e_{j_b}) (`basis_images`,
+shape (S, F, N)); the alternating and grid estimators work on B in
+coefficient space.
+
 Three estimators with different trade-offs:
 
   estimate_brute        random unit pairs; alpha upper / beta lower bounds
@@ -19,18 +24,12 @@ Three estimators with different trade-offs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .bilinear_ops import (
-    CIRCULAR_CONVOLUTION,
-    POINTWISE,
-    BilinearMapSpec,
-    apply_map,
-    apply_map_batch,
-)
+from .bilinear_ops import BilinearMapSpec, apply_map, apply_map_batch
 from .sparse_model import POSITIVE_ORTHANT, ConeSpec, Support, unit_cone_directions
 
 GRID_GUARD = 10 ** 8
@@ -98,30 +97,26 @@ def norm_ratio(spec: BilinearMapSpec, x, y) -> float:
     return float(np.linalg.norm(apply_map(spec, xv, yv)) / (nx * ny))
 
 
-def matricize(spec: BilinearMapSpec, j_set: Support, x) -> np.ndarray:
-    """Matrix A(x) with columns T(x, e_j), j ∈ J, so T(x, y) = A(x) y_J.
+def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.ndarray:
+    """Basis images B[a, b] = T(e_{i_a}, e_{j_b}), shape (S, F, N).
 
-    Linearity of T(x, ·) makes the restricted map an ordinary matrix;
-    singular values of A(x) are the ratio extremes over y for fixed x.
+    On a support pair T is fixed by B: T(x, y) = sum_{a,b} x_a y_b B[a, b]
+    for x on I and y on J, where x_a and y_b are the coefficients.
     """
     n = spec.ambient_dim
-    xv = np.asarray(getattr(x, "values", x), dtype=float)
-    if xv.shape != (n,):
-        raise ValueError(f"x must have length {n}")
-    if spec.kind == CIRCULAR_CONVOLUTION:
-        return np.column_stack([np.roll(xv, j) for j in j_set.indices])
-    if spec.kind == POINTWISE:
-        a = np.zeros((n, j_set.size))
-        for c, j in enumerate(j_set.indices):
-            a[j, c] = xv[j]
-        return a
-    basis = np.zeros(n)
-    cols = []
-    for j in j_set.indices:
-        basis[j] = 1.0
-        cols.append(apply_map(spec, xv, basis))
-        basis[j] = 0.0
-    return np.column_stack(cols)
+    s, f = i_set.size, j_set.size
+    xs = np.zeros((s, f, n))
+    ys = np.zeros((s, f, n))
+    xs[np.arange(s), :, i_set.as_array()] = 1.0
+    ys[:, np.arange(f), j_set.as_array()] = 1.0
+    images = apply_map_batch(spec, xs.reshape(s * f, n), ys.reshape(s * f, n))
+    return images.reshape(s, f, n)
+
+
+def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
+    v = np.zeros(cone.ambient_dim)
+    v[cone.support.as_array()] = coeffs
+    return v
 
 
 def _check_geometry(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec):
@@ -201,35 +196,42 @@ def _extreme_singular_direction(a: np.ndarray, mode: str, kind: str) -> Optional
     return v / np.linalg.norm(v)
 
 
-def _alternate(spec, cone_x, cone_y, x0, y0, mode, max_iters, tol):
-    """One alternating run from (x0, y0); monotone in the objective."""
+def _restricted(coeffs: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k images[k] as an (N, images.shape[1]) matrix.
+
+    The copy to C order is deliberate: LAPACK returns different bits for a
+    transposed view, and C order keeps the SVDs of the alternating search
+    reproducible against the column-stacked matrices it used before.
+    """
+    k, m, n = images.shape
+    return np.ascontiguousarray((coeffs @ images.reshape(k, m * n)).reshape(m, n).T)
+
+
+def _alternate(images, images_t, kinds, x, y, mode, max_iters, tol):
+    """One alternating run from coefficients (x, y); monotone in the objective.
+
+    With B = images of shape (S, F, N), A(x) = sum_a x_a B[a] gives
+    T(x, y) = A(x) y, and A(y) = sum_b y_b B[:, b] (from images_t, the
+    (F, S, N) transpose) gives T(x, y) = A(y) x, so no step assumes T is
+    symmetric.
+    """
     better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
-    i_set, j_set = cone_x.support, cone_y.support
-    ix = i_set.as_array()
-    jy = j_set.as_array()
-    x, y = x0.copy(), y0.copy()
-    current = float(np.linalg.norm(apply_map(spec, x, y)))
+    current = float(np.linalg.norm(_restricted(x, images) @ y))
     converged = False
     for _ in range(max_iters):
         previous = current
-        a = matricize(spec, j_set, x)
-        v = _extreme_singular_direction(a, mode, cone_y.kind)
+        a = _restricted(x, images)
+        v = _extreme_singular_direction(a, mode, kinds[1])
         if v is not None:
             cand = float(np.linalg.norm(a @ v))
             if better(cand, current):
-                y = np.zeros_like(y)
-                y[jy] = v
-                current = cand
-        # T is commutative for all kinds handled here, so the x-update
-        # reuses matricize with the roles swapped
-        b = matricize(spec, i_set, y)
-        u = _extreme_singular_direction(b, mode, cone_x.kind)
+                y, current = v, cand
+        b = _restricted(y, images_t)
+        u = _extreme_singular_direction(b, mode, kinds[0])
         if u is not None:
             cand = float(np.linalg.norm(b @ u))
             if better(cand, current):
-                x = np.zeros_like(x)
-                x[ix] = u
-                current = cand
+                x, current = u, cand
         if abs(previous - current) < tol:
             converged = True
             break
@@ -242,9 +244,10 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     """Alternating singular-direction search for alpha (min) and beta (max).
 
     Fixing one argument makes the restricted map linear; the update picks
-    the extreme right singular direction of the matricized map, projected
-    to the cone for positive orthants.  Updates are only accepted when
-    they improve, so the objective is monotone across iterations.
+    the extreme right singular direction of that matrix, built from the
+    basis images, projected to the cone for positive orthants.  Updates
+    are only accepted when they improve, so the objective is monotone
+    across iterations.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -252,6 +255,10 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
         raise ValueError("tol must be positive")
     _check_geometry(spec, cone_x, cone_y)
     children = np.random.SeedSequence(seed).spawn(restarts)
+    images = basis_images(spec, cone_x.support, cone_y.support)
+    images_t = np.ascontiguousarray(images.transpose(1, 0, 2))
+    kinds = (cone_x.kind, cone_y.kind)
+    ix, jy = cone_x.support.as_array(), cone_y.support.as_array()
 
     best_a = np.inf
     best_b = -np.inf
@@ -259,22 +266,22 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     conv_a = conv_b = True
     for child in children:
         rng = np.random.default_rng(child)
-        x0 = unit_cone_directions(cone_x, 1, rng)[0]
-        y0 = unit_cone_directions(cone_y, 1, rng)[0]
-        val, x, y, ok = _alternate(spec, cone_x, cone_y, x0, y0, "min", max_iters, tol)
+        x0 = unit_cone_directions(cone_x, 1, rng)[0, ix]
+        y0 = unit_cone_directions(cone_y, 1, rng)[0, jy]
+        val, x, y, ok = _alternate(images, images_t, kinds, x0, y0, "min", max_iters, tol)
         if val < best_a:
             best_a, wit_a, conv_a = val, (x, y), ok
-        val, x, y, ok = _alternate(spec, cone_x, cone_y, x0, y0, "max", max_iters, tol)
+        val, x, y, ok = _alternate(images, images_t, kinds, x0, y0, "max", max_iters, tol)
         if val > best_b:
             best_b, wit_b, conv_b = val, (x, y), ok
 
     return RnmpEstimate(
         support_pair=(cone_x.support, cone_y.support),
-        cone_kinds=(cone_x.kind, cone_y.kind),
+        cone_kinds=kinds,
         alpha_est=best_a,
         beta_est=best_b,
-        alpha_witness=wit_a,
-        beta_witness=wit_b,
+        alpha_witness=(_embed(wit_a[0], cone_x), _embed(wit_a[1], cone_y)),
+        beta_witness=(_embed(wit_b[0], cone_x), _embed(wit_b[1], cone_y)),
         method="alternating",
         restarts=restarts,
         tol=tol,
@@ -309,25 +316,6 @@ def _sphere_grid(dim: int, kind: str, g: int) -> np.ndarray:
     return coords
 
 
-def _basis_image_gram(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.ndarray:
-    """Gram tensor G[(a,a'),(b,b')] = <T(e_a, e_b), T(e_a', e_b')> flattened
-    to (S^2, F^2); lets ||T(x,y)||^2 be evaluated for whole grids at once."""
-    n = spec.ambient_dim
-    s, f = i_set.size, j_set.size
-    imgs = np.empty((s, f, n))
-    ei = np.zeros(n)
-    ej = np.zeros(n)
-    for a, i in enumerate(i_set.indices):
-        ei[i] = 1.0
-        for b, j in enumerate(j_set.indices):
-            ej[j] = 1.0
-            imgs[a, b] = apply_map(spec, ei, ej)
-            ej[j] = 0.0
-        ei[i] = 0.0
-    gram = np.einsum("abn,cdn->acbd", imgs, imgs)
-    return gram.reshape(s * s, f * f)
-
-
 def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
                        grid_per_dim: int = 64) -> RnmpEstimate:
     """Deterministic min/max of the ratio over an angular product grid.
@@ -345,8 +333,11 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     if n_pairs > GRID_GUARD:
         raise ValueError(f"grid of {n_pairs} pairs exceeds the {GRID_GUARD} guard")
 
-    gram = _basis_image_gram(spec, cone_x.support, cone_y.support)
+    # G[(a,a'),(b,b')] = <B[a,b], B[a',b']> evaluates ||T(x,y)||^2 for
+    # whole grids at once
+    images = basis_images(spec, cone_x.support, cone_y.support)
     s, f = cone_x.dim, cone_y.dim
+    gram = np.einsum("abn,cdn->acbd", images, images).reshape(s * s, f * f)
     xx = (xs[:, :, None] * xs[:, None, :]).reshape(xs.shape[0], s * s)
     left = xx @ gram  # (a, F^2)
 
@@ -370,13 +361,8 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
             a, c = np.unravel_index(flat_max, r2.shape)
             arg_max = (int(a), start + int(c))
 
-    def embed(coeffs, cone):
-        v = np.zeros(spec.ambient_dim)
-        v[cone.support.as_array()] = coeffs
-        return v
-
-    wit_min = (embed(xs[arg_min[0]], cone_x), embed(ys[arg_min[1]], cone_y))
-    wit_max = (embed(xs[arg_max[0]], cone_x), embed(ys[arg_max[1]], cone_y))
+    wit_min = (_embed(xs[arg_min[0]], cone_x), _embed(ys[arg_min[1]], cone_y))
+    wit_max = (_embed(xs[arg_max[0]], cone_x), _embed(ys[arg_max[1]], cone_y))
     return RnmpEstimate(
         support_pair=(cone_x.support, cone_y.support),
         cone_kinds=(cone_x.kind, cone_y.kind),

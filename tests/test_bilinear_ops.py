@@ -62,6 +62,24 @@ def test_convolution_identity_and_shift():
     assert np.array_equal(apply_map(spec, e1, h), np.roll(h, 1))
 
 
+def test_apply_map_matches_direct_sum_bitwise():
+    """apply_map keeps the bits of the direct sum over the nonzeros of s."""
+    rng = np.random.default_rng(17)
+    for n in (3, 8, 16, 64):
+        conv = BilinearMapSpec(CIRCULAR_CONVOLUTION, n)
+        pw = BilinearMapSpec(POINTWISE, n)
+        for _ in range(20):
+            s = np.zeros(n)
+            support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            s[support] = rng.standard_normal(support.size)
+            h = rng.standard_normal(n)
+            ref = np.zeros(n)
+            for k in np.flatnonzero(s):
+                ref += s[k] * np.roll(h, k)
+            assert np.array_equal(apply_map(conv, s, h), ref)
+            assert np.array_equal(apply_map(pw, s, h), s * h)
+
+
 def test_convolution_commutes():
     rng = np.random.default_rng(3)
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 12)

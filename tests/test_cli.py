@@ -54,9 +54,6 @@ def test_config_validation():
         ExperimentConfig(command="bounds", parameters={}, seed="zero", output_path="x")
     with pytest.raises(ConfigError):
         ExperimentConfig(command="bounds", parameters={}, seed=0, output_path="")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(command="bounds", parameters={}, seed=0,
-                         output_path="x", threads=0)
 
 
 def test_load_config_and_overrides(tmp_path):
@@ -64,9 +61,9 @@ def test_load_config_and_overrides(tmp_path):
     cfg = load_config(path)
     assert cfg.command == "bounds" and cfg.seed == 0
     cfg2 = load_config(path, seed_override=9, format_override="csv",
-                       output_override="elsewhere.csv", threads=4)
+                       output_override="elsewhere.csv")
     assert cfg2.seed == 9 and cfg2.format == "csv"
-    assert cfg2.output_path == "elsewhere.csv" and cfg2.threads == 4
+    assert cfg2.output_path == "elsewhere.csv"
 
 
 def test_load_config_rejections(tmp_path):

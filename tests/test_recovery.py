@@ -6,9 +6,11 @@ from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       apply_map, dft_unitary)
 from bilinear_cs.recovery import (BilinearModel, PhaseCell, RecoveryProblem,
                                   iht, model_sparsity, oracle_least_squares,
-                                  phase_transition, simulate_problem)
+                                  output_support, phase_transition,
+                                  simulate_problem)
 from bilinear_cs.sensing import GAUSSIAN, _draw, orthonormal_rows
-from bilinear_cs.sparse_model import (SUBSPACE, ConeSpec, support_from_indices)
+from bilinear_cs.sparse_model import (SUBSPACE, ConeSpec, support_from_indices,
+                                      support_sum)
 
 
 def conv_model(n, i_idx, j_idx, kind=SUBSPACE):
@@ -46,6 +48,28 @@ def test_model_validation_and_json():
     j = model.to_json()
     assert j["map_kind"] == CIRCULAR_CONVOLUTION
     assert j["cone_x"]["indices"] == [0, 1]
+
+
+def test_output_support_and_budget():
+    n = 8
+
+    def sub(idx):
+        return ConeSpec(support_from_indices(idx, n), SUBSPACE)
+
+    pairs = [([0, 1, 2], [1, 2]), ([0, 3], [3, 5, 6]), ([1, 2, 3], [1, 2, 3])]
+    for i_idx, j_idx in pairs:
+        pw = BilinearModel(BilinearMapSpec(POINTWISE, n), sub(i_idx), sub(j_idx))
+        assert output_support(pw).indices == tuple(sorted(set(i_idx) & set(j_idx)))
+        conv = conv_model(n, i_idx, j_idx)
+        assert output_support(conv) == support_sum(conv.cone_x.support, conv.cone_y.support)
+        for model in (pw, conv):
+            assert model_sparsity(model) >= output_support(model).size
+    with pytest.raises(ValueError):
+        output_support(BilinearModel(BilinearMapSpec(POINTWISE, n), sub([0]), sub([1])))
+    uni = BilinearModel(BilinearMapSpec(UNITARY_PRODUCT, n, unitary=dft_unitary(n)),
+                        sub([0, 1]), sub([0, 4]))
+    with pytest.raises(ValueError):
+        output_support(uni)
 
 
 def test_model_sparsity_budgets():

@@ -4,9 +4,8 @@ import pytest
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, dft_unitary)
-from bilinear_cs.rnmp import (RnmpEstimate, certify_exhaustive,
-                              estimate_alternating, estimate_brute, matricize,
-                              norm_ratio)
+from bilinear_cs.rnmp import (RnmpEstimate, basis_images, certify_exhaustive,
+                              estimate_alternating, estimate_brute, norm_ratio)
 from bilinear_cs.sparse_model import (POSITIVE_ORTHANT, SUBSPACE, ConeSpec,
                                       Support, support_from_indices)
 
@@ -32,21 +31,24 @@ def test_norm_ratio_homogeneous():
     assert abs(norm_ratio(spec, 7.5 * x, -2.0 * y) - base) < 1e-12
 
 
-def test_matricize_reproduces_map():
+def test_basis_images_reproduce_map():
     rng = np.random.default_rng(5)
     n = 12
+    i_set = support_from_indices(range(n), n)
     j_set = support_from_indices([1, 4, 7, 9], n)
     specs = [BilinearMapSpec(POINTWISE, n),
              BilinearMapSpec(CIRCULAR_CONVOLUTION, n),
              BilinearMapSpec(UNITARY_PRODUCT, n, unitary=dft_unitary(n))]
     for spec in specs:
+        b = basis_images(spec, i_set, j_set)
+        assert b.shape == (n, j_set.size, n)
         for _ in range(10):
             x = rng.standard_normal(n)
             coeffs = rng.standard_normal(j_set.size)
             y = np.zeros(n)
             y[j_set.as_array()] = coeffs
-            a = matricize(spec, j_set, x)
-            assert np.allclose(a @ coeffs, apply_map(spec, x, y), atol=1e-9)
+            z = np.einsum("a,b,abn->n", x, coeffs, b)
+            assert np.allclose(z, apply_map(spec, x, y), atol=1e-9)
 
 
 def test_estimate_orders_alpha_below_beta():
