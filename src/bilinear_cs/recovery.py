@@ -243,16 +243,18 @@ def iht(problem: RecoveryProblem, k: int, max_iters: int = 500,
             raise ValueError(f"step must be positive, got {step}")
 
     z = np.zeros(n)
+    r_vec = y - phi @ z
     residuals = [float(np.linalg.norm(y))]
     converged = False
     diverged = False
     it = 0
     for it in range(1, max_iters + 1):
-        r_vec = y - phi @ z
         z_new = _hard_threshold(z + mu * (phi.T @ r_vec), k)
         update = float(np.linalg.norm(z_new - z))
         z = z_new
-        residuals.append(float(np.linalg.norm(y - phi @ z)))
+        # the residual of this iterate is also the next iteration's gradient input
+        r_vec = y - phi @ z
+        residuals.append(float(np.linalg.norm(r_vec)))
         if update <= tol * max(float(np.linalg.norm(z)), 1e-300):
             converged = True
             break

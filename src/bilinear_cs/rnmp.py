@@ -12,8 +12,10 @@ it keeps every probability bound built on top of it valid.
 
 On canonical supports I and J of sizes S and F the restricted map is
 fixed by its basis images B[a, b] = T(e_{i_a}, e_{j_b}) (`basis_images`,
-shape (S, F, N)); the alternating and grid estimators work on B in
-coefficient space.
+shape (S, F, N)); every estimator works on B in coefficient space.  The
+brute sweep (and `sensing.rip_monte_carlo`) draws (T, S) and (T, F)
+coefficient batches and evaluates them with `apply_restricted_batch`,
+never embedding a sample at length N.
 
 Three estimators with different trade-offs:
 
@@ -30,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bilinear_ops import BilinearMapSpec, apply_map, apply_map_batch
-from .sparse_model import POSITIVE_ORTHANT, ConeSpec, Support, unit_cone_directions
+from .sparse_model import POSITIVE_ORTHANT, ConeSpec, Support, unit_cone_coefficients
 
 GRID_GUARD = 10 ** 8
 _BATCH = 20_000
@@ -104,6 +106,8 @@ def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.nd
     for x on I and y on J, where x_a and y_b are the coefficients.
     """
     n = spec.ambient_dim
+    if i_set.ambient_dim != n or j_set.ambient_dim != n:
+        raise ValueError("map and cones must share the ambient dimension")
     s, f = i_set.size, j_set.size
     xs = np.zeros((s, f, n))
     ys = np.zeros((s, f, n))
@@ -113,15 +117,28 @@ def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.nd
     return images.reshape(s, f, n)
 
 
+def apply_restricted_batch(images: np.ndarray, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """Rowwise T(x_t, y_t) from coefficient batches xc (T, S) and yc (T, F)
+    on the support pair of the basis images B = `images`; (T, N), C order.
+
+    Column k sums B[a, b, k] yc[:, b] xc[:, a] over the nonzeros of B with
+    b ascending, then a: the order in which `apply_map_batch` sums, so
+    convolution and pointwise images keep its bits.
+    """
+    s, f, n = images.shape
+    z = np.zeros((xc.shape[0], n))
+    for b in range(f):
+        for a in range(s):
+            ks = np.flatnonzero(images[a, b])
+            if ks.size:
+                z[:, ks] += (yc[:, b] * xc[:, a])[:, None] * images[a, b, ks]
+    return z
+
+
 def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
     v = np.zeros(cone.ambient_dim)
     v[cone.support.as_array()] = coeffs
     return v
-
-
-def _check_geometry(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec):
-    if cone_x.ambient_dim != spec.ambient_dim or cone_y.ambient_dim != spec.ambient_dim:
-        raise ValueError("map and cones must share the ambient dimension")
 
 
 def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
@@ -135,7 +152,7 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_geometry(spec, cone_x, cone_y)
+    images = basis_images(spec, cone_x.support, cone_y.support)
     ss = np.random.SeedSequence(seed)
     child_x, child_y = ss.spawn(2)
     rng_x = np.random.default_rng(child_x)
@@ -147,17 +164,17 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
     done = 0
     while done < samples:
         count = min(_BATCH, samples - done)
-        xs = unit_cone_directions(cone_x, count, rng_x)
-        ys = unit_cone_directions(cone_y, count, rng_y)
-        r = np.linalg.norm(apply_map_batch(spec, xs, ys), axis=1)
+        xc = unit_cone_coefficients(cone_x, count, rng_x)
+        yc = unit_cone_coefficients(cone_y, count, rng_y)
+        r = np.linalg.norm(apply_restricted_batch(images, xc, yc), axis=1)
         i_min = int(np.argmin(r))
         i_max = int(np.argmax(r))
         if r[i_min] < best_min:
             best_min = float(r[i_min])
-            wit_min = (xs[i_min].copy(), ys[i_min].copy())
+            wit_min = (_embed(xc[i_min], cone_x), _embed(yc[i_min], cone_y))
         if r[i_max] > best_max:
             best_max = float(r[i_max])
-            wit_max = (xs[i_max].copy(), ys[i_max].copy())
+            wit_max = (_embed(xc[i_max], cone_x), _embed(yc[i_max], cone_y))
         done += count
 
     return RnmpEstimate(
@@ -253,12 +270,10 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
         raise ValueError("restarts must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _check_geometry(spec, cone_x, cone_y)
-    children = np.random.SeedSequence(seed).spawn(restarts)
     images = basis_images(spec, cone_x.support, cone_y.support)
+    children = np.random.SeedSequence(seed).spawn(restarts)
     images_t = np.ascontiguousarray(images.transpose(1, 0, 2))
     kinds = (cone_x.kind, cone_y.kind)
-    ix, jy = cone_x.support.as_array(), cone_y.support.as_array()
 
     best_a = np.inf
     best_b = -np.inf
@@ -266,8 +281,8 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     conv_a = conv_b = True
     for child in children:
         rng = np.random.default_rng(child)
-        x0 = unit_cone_directions(cone_x, 1, rng)[0, ix]
-        y0 = unit_cone_directions(cone_y, 1, rng)[0, jy]
+        x0 = unit_cone_coefficients(cone_x, 1, rng)[0]
+        y0 = unit_cone_coefficients(cone_y, 1, rng)[0]
         val, x, y, ok = _alternate(images, images_t, kinds, x0, y0, "min", max_iters, tol)
         if val < best_a:
             best_a, wit_a, conv_a = val, (x, y), ok
@@ -326,7 +341,7 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     """
     if grid_per_dim < 3:
         raise ValueError("grid_per_dim must be >= 3")
-    _check_geometry(spec, cone_x, cone_y)
+    images = basis_images(spec, cone_x.support, cone_y.support)
     xs = _sphere_grid(cone_x.dim, cone_x.kind, grid_per_dim)
     ys = _sphere_grid(cone_y.dim, cone_y.kind, grid_per_dim)
     n_pairs = xs.shape[0] * ys.shape[0]
@@ -335,7 +350,6 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
 
     # G[(a,a'),(b,b')] = <B[a,b], B[a',b']> evaluates ||T(x,y)||^2 for
     # whole grids at once
-    images = basis_images(spec, cone_x.support, cone_y.support)
     s, f = cone_x.dim, cone_y.dim
     gram = np.einsum("abn,cdn->acbd", images, images).reshape(s * s, f * f)
     xx = (xs[:, :, None] * xs[:, None, :]).reshape(xs.shape[0], s * s)

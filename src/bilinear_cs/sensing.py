@@ -23,7 +23,8 @@ import numpy as np
 
 from .bilinear_ops import BilinearMapSpec, apply_map_batch
 from .bounds import c0
-from .sparse_model import SUBSPACE, ConeSpec, unit_cone_directions
+from .rnmp import apply_restricted_batch, basis_images
+from .sparse_model import SUBSPACE, ConeSpec, unit_cone_coefficients, unit_cone_directions
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -155,6 +156,10 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     """Sample unit cone pairs, push them through the map, and record
     |distortion| of the images under one fixed matrix realization.
 
+    The pairs are drawn as support coefficients and mapped through the
+    cone pair's basis images (`rnmp.apply_restricted_batch`); only the
+    images are held at full length N.
+
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
     (e.g. orthonormalized rows for the isometry control).  `extra_pairs`
     are deterministic (x, y) pairs evaluated before the random draws;
@@ -179,15 +184,13 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
         ensemble_seed = None
 
     ss_x, ss_y = np.random.SeedSequence(seed).spawn(2)
-    xs = unit_cone_directions(cone_x, n_samples, np.random.default_rng(ss_x))
-    ys = unit_cone_directions(cone_y, n_samples, np.random.default_rng(ss_y))
+    xc = unit_cone_coefficients(cone_x, n_samples, np.random.default_rng(ss_x))
+    yc = unit_cone_coefficients(cone_y, n_samples, np.random.default_rng(ss_y))
+    zs = apply_restricted_batch(basis_images(map_spec, cone_x.support, cone_y.support), xc, yc)
     if extra_pairs:
         ex = np.vstack([np.asarray(p[0], dtype=np.float64) for p in extra_pairs])
         ey = np.vstack([np.asarray(p[1], dtype=np.float64) for p in extra_pairs])
-        xs = np.vstack([ex, xs])
-        ys = np.vstack([ey, ys])
-
-    zs = apply_map_batch(map_spec, xs, ys)
+        zs = np.vstack([apply_map_batch(map_spec, ex, ey), zs])
     norms = np.linalg.norm(zs, axis=1)
     keep = norms >= DEGENERATE_NORM
     skipped = int(np.sum(~keep))
@@ -195,8 +198,10 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
         raise ValueError("all sampled outputs were degenerate (norm < 1e-12); "
                          "the cone pair looks null under this map")
 
-    image_norms = np.linalg.norm(zs[keep] @ phi.T, axis=1)
-    abs_dist = np.abs(image_norms / norms[keep] - 1.0)
+    if skipped:
+        zs, norms = zs[keep], norms[keep]
+    image_norms = np.linalg.norm(zs @ phi.T, axis=1)
+    abs_dist = np.abs(image_norms / norms - 1.0)
     qs = tuple((float(q), float(np.quantile(abs_dist, q))) for q in quantile_levels)
     return DistortionReport(
         n_samples=int(abs_dist.size),

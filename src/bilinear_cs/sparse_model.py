@@ -155,13 +155,13 @@ def is_properly_separated(i_set: Support, j_set: Support) -> bool:
     return support_sum(i_set, j_set).size == i_set.size * j_set.size
 
 
-def unit_cone_directions(cone: ConeSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` unit vectors uniformly from the cone's sphere section.
+def unit_cone_coefficients(cone: ConeSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` unit vectors uniformly from the cone's sphere section,
+    as their (count, S) coefficients on the support coordinates.
 
-    Returns a (count, N) dense array.  Subspace: gaussian direction on the
-    support coordinates, normalized.  Positive orthant: absolute value of
-    the same construction, which is exactly uniform on the orthant section
-    of the sphere by symmetry of the gaussian.
+    Subspace: gaussian direction, normalized.  Positive orthant: absolute
+    value of the same construction, which is exactly uniform on the
+    orthant section of the sphere by symmetry of the gaussian.
     """
     s = cone.dim
     g = rng.standard_normal((count, s))
@@ -174,8 +174,14 @@ def unit_cone_directions(cone: ConeSpec, count: int, rng: np.random.Generator) -
     g /= norms[:, None]
     if cone.kind == POSITIVE_ORTHANT:
         np.abs(g, out=g)
+    return g
+
+
+def unit_cone_directions(cone: ConeSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`unit_cone_coefficients` embedded as a (count, N) dense array; the
+    same draws from the same stream."""
     out = np.zeros((count, cone.ambient_dim))
-    out[:, cone.support.as_array()] = g
+    out[:, cone.support.as_array()] = unit_cone_coefficients(cone, count, rng)
     return out
 
 

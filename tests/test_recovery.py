@@ -4,6 +4,7 @@ import pytest
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, dft_unitary)
+from bilinear_cs import recovery
 from bilinear_cs.recovery import (BilinearModel, PhaseCell, RecoveryProblem,
                                   iht, model_sparsity, oracle_least_squares,
                                   output_support, phase_transition,
@@ -206,6 +207,42 @@ def test_iht_flags_divergence_with_oversized_step():
     out = iht(prob, 4, step=10.0)
     assert out.diverged
     assert not out.converged
+
+
+def two_product_iht(phi, y, k, mu, max_iters, tol=1e-8):
+    """IHT computing Phi z twice an iteration: once for the gradient at
+    the top, once for the residual norm at the end."""
+    z = np.zeros(phi.shape[1])
+    residuals = [float(np.linalg.norm(y))]
+    converged = diverged = False
+    for it in range(1, max_iters + 1):
+        r_vec = y - phi @ z
+        z_new = recovery._hard_threshold(z + mu * (phi.T @ r_vec), k)
+        update = float(np.linalg.norm(z_new - z))
+        z = z_new
+        residuals.append(float(np.linalg.norm(y - phi @ z)))
+        if update <= tol * max(float(np.linalg.norm(z)), 1e-300):
+            converged = True
+            break
+        window = recovery._DIVERGENCE_WINDOW
+        if it >= window and residuals[-1] > recovery._DIVERGENCE_FACTOR * residuals[-1 - window]:
+            diverged = True
+            break
+    return z, it, converged, diverged
+
+
+def test_iht_matches_two_product_loop_bitwise():
+    model = conv_model(32, [0, 1], [0, 8])
+    for seed in range(4):
+        phi = _draw(GAUSSIAN, 12 + 4 * seed, 32, np.random.default_rng(seed))
+        prob = simulate_problem(model, phi, noise_sigma=1e-3 * seed, seed=seed)
+        for step, max_iters in (("adaptive", 500), (10.0, 500), ("adaptive", 7)):
+            mu = recovery._adaptive_step(phi) if step == "adaptive" else step
+            z, its, converged, diverged = two_product_iht(phi, prob.y, 4, mu, max_iters)
+            out = iht(prob, 4, max_iters=max_iters, step=step)
+            assert np.array_equal(out.z_hat, z)
+            assert (out.iterations, out.converged, out.diverged) == (its, converged, diverged)
+            assert out.residual == float(np.linalg.norm(phi @ z - prob.y))
 
 
 def test_iht_breaks_ties_toward_low_indices():

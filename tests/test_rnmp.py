@@ -3,11 +3,13 @@ import pytest
 
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
-                                      apply_map, dft_unitary)
-from bilinear_cs.rnmp import (RnmpEstimate, basis_images, certify_exhaustive,
+                                      apply_map, apply_map_batch, dft_unitary)
+from bilinear_cs.rnmp import (_BATCH, RnmpEstimate, apply_restricted_batch,
+                              basis_images, certify_exhaustive,
                               estimate_alternating, estimate_brute, norm_ratio)
-from bilinear_cs.sparse_model import (POSITIVE_ORTHANT, SUBSPACE, ConeSpec,
-                                      Support, support_from_indices)
+from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
+                                      ConeSpec, Support, support_from_indices,
+                                      unit_cone_directions)
 
 
 def subspace_pair(n, i_idx, j_idx):
@@ -49,6 +51,8 @@ def test_basis_images_reproduce_map():
             y[j_set.as_array()] = coeffs
             z = np.einsum("a,b,abn->n", x, coeffs, b)
             assert np.allclose(z, apply_map(spec, x, y), atol=1e-9)
+            z = apply_restricted_batch(b, x[None], coeffs[None])[0]
+            assert np.allclose(z, apply_map(spec, x, y), atol=1e-9)
 
 
 def test_estimate_orders_alpha_below_beta():
@@ -88,6 +92,43 @@ def test_brute_determinism_and_witnesses():
     # witnesses must reproduce the reported constants
     assert abs(norm_ratio(spec, *a.alpha_witness) - a.alpha_est) < 1e-9
     assert abs(norm_ratio(spec, *a.beta_witness) - a.beta_est) < 1e-9
+
+
+def dense_brute(spec, cone_x, cone_y, samples, seed):
+    """The full-length sweep: embed every sample at length N, map the
+    batch with apply_map_batch, take row norms; first extremes win."""
+    child_x, child_y = np.random.SeedSequence(seed).spawn(2)
+    rng_x, rng_y = np.random.default_rng(child_x), np.random.default_rng(child_y)
+    rs, xs, ys = [], [], []
+    for start in range(0, samples, _BATCH):
+        count = min(_BATCH, samples - start)
+        xs.append(unit_cone_directions(cone_x, count, rng_x))
+        ys.append(unit_cone_directions(cone_y, count, rng_y))
+        rs.append(np.linalg.norm(apply_map_batch(spec, xs[-1], ys[-1]), axis=1))
+    r, x, y = np.concatenate(rs), np.vstack(xs), np.vstack(ys)
+    i_min, i_max = int(np.argmin(r)), int(np.argmax(r))
+    return r[i_min], r[i_max], (x[i_min], y[i_min]), (x[i_max], y[i_max])
+
+
+# N >= 8 is where numpy's row norm sums pairwise instead of sequentially
+@pytest.mark.parametrize("n, i_idx, j_idx", [
+    (5, [0, 1, 3], [1, 3, 4]),
+    (8, [0, 2, 3, 6], [2, 3, 5]),
+    (13, [1, 2, 5, 8, 12], [0, 2, 5, 9]),
+    (64, [3, 7, 8, 20, 41, 42, 63], [7, 8, 11, 20, 50, 63]),
+])
+@pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION])
+@pytest.mark.parametrize("cone_kind", CONE_KINDS)
+def test_brute_matches_dense_sweep_bitwise(n, i_idx, j_idx, kind, cone_kind):
+    spec = BilinearMapSpec(kind, n)
+    cx = ConeSpec(support_from_indices(i_idx, n), cone_kind)
+    cy = ConeSpec(support_from_indices(j_idx, n), cone_kind)
+    samples = _BATCH + 1
+    est = estimate_brute(spec, cx, cy, samples=samples, seed=n)
+    alpha, beta, wit_a, wit_b = dense_brute(spec, cx, cy, samples, seed=n)
+    assert est.alpha_est == alpha and est.beta_est == beta
+    for got, want in zip(est.alpha_witness + est.beta_witness, wit_a + wit_b):
+        assert np.array_equal(got, want)
 
 
 def test_brute_estimates_tighten_with_more_samples():

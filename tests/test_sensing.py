@@ -5,15 +5,16 @@ import pytest
 
 from bilinear_cs import sensing
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
-                                      BilinearMapSpec)
+                                      BilinearMapSpec, apply_map_batch)
 from bilinear_cs.bounds import c0
 from bilinear_cs.sensing import (GAUSSIAN, RADEMACHER, ConcentrationResult,
                                  DistortionReport, MeasurementEnsemble,
                                  concentration_test, conjecture_probe,
                                  distortion, generate, orthonormal_rows,
                                  rip_monte_carlo)
-from bilinear_cs.sparse_model import (POSITIVE_ORTHANT, SUBSPACE, ConeSpec,
-                                      support_from_indices)
+from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
+                                      ConeSpec, support_from_indices,
+                                      unit_cone_directions)
 
 
 def cone(n, idx, kind=SUBSPACE):
@@ -149,6 +150,47 @@ def test_rip_monte_carlo_extras_come_first():
     assert rep.abs_distortions[0] == 0.0
 
 
+def dense_distortions(spec, cx, cy, phi, n_samples, seed, extra_pairs):
+    """The full-length path: extras first, then the embedded samples, all
+    mapped by apply_map_batch; degenerate images are dropped."""
+    ss_x, ss_y = np.random.SeedSequence(seed).spawn(2)
+    xs = unit_cone_directions(cx, n_samples, np.random.default_rng(ss_x))
+    ys = unit_cone_directions(cy, n_samples, np.random.default_rng(ss_y))
+    if extra_pairs:
+        xs = np.vstack([[p[0] for p in extra_pairs], xs])
+        ys = np.vstack([[p[1] for p in extra_pairs], ys])
+    zs = apply_map_batch(spec, xs, ys)
+    norms = np.linalg.norm(zs, axis=1)
+    keep = norms >= sensing.DEGENERATE_NORM
+    return np.abs(np.linalg.norm(zs[keep] @ phi.T, axis=1) / norms[keep] - 1.0)
+
+
+# N >= 8 is where numpy's row norm sums pairwise instead of sequentially
+@pytest.mark.parametrize("n, i_idx, j_idx", [
+    (5, [0, 1, 3], [1, 3, 4]),
+    (8, [0, 2, 3, 6], [2, 3, 5]),
+    (13, [1, 2, 5, 8, 12], [0, 2, 5, 9]),
+    (64, [3, 7, 8, 20, 41, 42, 63], [7, 8, 11, 20, 50, 63]),
+])
+@pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION])
+@pytest.mark.parametrize("cone_kind", CONE_KINDS)
+def test_rip_monte_carlo_matches_dense_path_bitwise(n, i_idx, j_idx, kind, cone_kind):
+    spec = BilinearMapSpec(kind, n)
+    cx, cy = cone(n, i_idx, cone_kind), cone(n, j_idx, cone_kind)
+    phi = generate(MeasurementEnsemble(GAUSSIAN, max(2, n // 2), n, n))
+    # a pair on the cones and a degenerate one (zero y), both ahead of the draws
+    x, y = unit_cone_directions(cx, 1, np.random.default_rng(1))[0], np.zeros(n)
+    y[j_idx] = 1.0
+    extras = [(x, y), (x, np.zeros(n))]
+    for extra_pairs in (None, extras):
+        rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=20_001, delta=0.5, seed=n,
+                              extra_pairs=extra_pairs)
+        want = dense_distortions(spec, cx, cy, phi, 20_001, n, extra_pairs)
+        assert np.array_equal(rep.abs_distortions, want)
+        assert rep.skipped == (1 if extra_pairs else 0)
+        assert rep.max_abs_distortion == np.max(want)
+
+
 def test_rip_monte_carlo_all_degenerate_is_an_error():
     # pointwise product of disjointly supported vectors is identically zero
     spec = BilinearMapSpec(POINTWISE, 8)
@@ -169,6 +211,8 @@ def test_rip_monte_carlo_argument_validation():
         rip_monte_carlo(spec, cx, cy, wrong, n_samples=5, delta=0.5, seed=0)
     with pytest.raises(ValueError):
         rip_monte_carlo(spec, cx, cy, np.zeros((4, 9)), n_samples=5, delta=0.5, seed=0)
+    with pytest.raises(ValueError):
+        rip_monte_carlo(spec, cone(16, [0, 1]), cy, e, n_samples=5, delta=0.5, seed=0)
 
 
 def test_distortion_report_validates_counts():

@@ -5,6 +5,7 @@ from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
                                       ConeSpec, SparseVector, Support,
                                       is_properly_separated, sample_cone,
                                       support_from_indices, support_sum,
+                                      unit_cone_coefficients,
                                       unit_cone_directions)
 
 
@@ -162,3 +163,14 @@ def test_unit_cone_directions_shape_and_norms():
         assert np.all(dirs[:, off] == 0.0)
         if kind == POSITIVE_ORTHANT:
             assert np.all(dirs >= 0.0)
+
+
+def test_unit_cone_directions_embed_the_coefficients():
+    for kind in CONE_KINDS:
+        cone = ConeSpec(Support((1, 2, 6, 9), 11), kind)
+        coeffs = unit_cone_coefficients(cone, 40, np.random.default_rng(8))
+        dirs = unit_cone_directions(cone, 40, np.random.default_rng(8))
+        assert coeffs.shape == (40, 4)
+        embedded = np.zeros((40, 11))
+        embedded[:, [1, 2, 6, 9]] = coeffs
+        assert np.array_equal(dirs, embedded)
