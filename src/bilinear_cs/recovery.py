@@ -12,6 +12,11 @@ S F ln N reference abscissas alongside.
 Noise is i.i.d. gaussian per measurement entry with standard deviation
 noise_sigma.  Per-trial randomness derives from (master seed, M index,
 trial index), so any subset of the grid reproduces independently.
+
+IHT has one loop, `_iht_stack`, which runs a stack of problems in
+lockstep with the arithmetic of a lone run.  A phase cell runs all of
+its trials as one stack, which the per-trial streams make legal, and
+`iht` is the stack of one.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ _NULL_IMAGE = 1e-12
 _MAX_REDRAWS = 100
 
 _POWER_ITERS = 30
+_MAX_ITERS = 500
+_TOL = 1e-8
 _DIVERGENCE_WINDOW = 50
 _DIVERGENCE_FACTOR = 10.0
 
@@ -198,13 +205,42 @@ def oracle_least_squares(problem: RecoveryProblem, support: Support) -> Recovery
                    rank_deficient=bool(rank < support.size))
 
 
-def _hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries, ties broken toward the
-    lowest index, zero elsewhere."""
-    order = np.argsort(-np.abs(v), kind="stable")
-    out = np.zeros_like(v)
-    out[order[:k]] = v[order[:k]]
-    return out
+class _TopK:
+    """Keeps the k[t] largest-magnitude entries of row t of a (T, 1, n)
+    stack and zeroes the rest in place, ties broken toward the lowest
+    index: row t keeps the first k[t] positions of
+    np.argsort(-|v[t, 0]|, kind="stable").
+
+    The k[t]-th smallest key of b = -|v| is a threshold, and every key
+    above it is dropped.  That keeps at least k[t] entries of each row,
+    and more exactly when keys tie at the threshold (or are NaN); only
+    then are the rows sorted stably.
+    """
+
+    def __init__(self, k: np.ndarray, n: int):
+        self.k = k
+        self._n = n
+        # flat position of each row's k-th smallest key
+        self._kth = (np.arange(k.size) * n + k - 1)[:, None, None]
+        self._dropped = k.size * n - int(k.sum())
+
+    def dropped(self, v: np.ndarray) -> np.ndarray:
+        """The mask of the entries to zero."""
+        b = np.negative(np.abs(v))
+        keys = b.copy()
+        keys.sort()
+        drop = b > keys.ravel()[self._kth]
+        if np.count_nonzero(drop) != self._dropped:
+            rows = drop.reshape(-1, self._n)
+            rows[:] = True
+            for row, order in enumerate(np.argsort(b.reshape(rows.shape), axis=1,
+                                                   kind="stable")):
+                rows[row, order[:self.k[row]]] = False
+        return drop
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        np.putmask(v, self.dropped(v), 0.0)
+        return v
 
 
 def _adaptive_step(phi: np.ndarray) -> float:
@@ -220,14 +256,81 @@ def _adaptive_step(phi: np.ndarray) -> float:
     return 1.0 / float(np.dot(phi @ b, phi @ b))
 
 
-def iht(problem: RecoveryProblem, k: int, max_iters: int = 500,
-        step: Union[float, str] = "adaptive", tol: float = 1e-8) -> RecoveryResult:
+def _iht_stack(phi: np.ndarray, y: np.ndarray, k: np.ndarray, mu: np.ndarray,
+               max_iters: int, tol: float):
+    """Run IHT on a stack of problems in lockstep: phi (T, m, n), y (T, m),
+    per-problem sparsity k (T,) and step mu (T,).
+
+    Every member takes exactly the steps a lone run takes, bit for bit:
+    the stacked products are the same gemv calls item by item, a norm is
+    the square root of the dot product np.linalg.norm computes, and the
+    stopping rules run on those floats member by member.  Members leave
+    the stack on the iteration they stop.  Returns the iterates (T, n),
+    the iteration counts and the converged and diverged flags, all in
+    stack order.
+    """
+    count, _, n = phi.shape
+    z_hat = np.zeros((count, n))
+    iterations = [0] * count
+    converged = [False] * count
+    diverged = [False] * count
+    live = list(range(count))
+    top_k = _TopK(k, n)
+    # the step repeated along each row, so the update multiplies equal shapes
+    mu = np.repeat(mu, n).reshape(count, 1, n)
+    y = y[:, None, :]
+    phi_t = phi.transpose(0, 2, 1)
+    z = np.zeros((count, 1, n))
+    r = y - np.matmul(z, phi_t)
+    residuals = [[math.sqrt(sq)] for (sq,) in np.vecdot(y, y).tolist()]
+    for it in range(1, max_iters + 1):
+        # z_new = H_k(z + mu Phi^T r), in place; in rows, r @ Phi is Phi^T r
+        # and z @ Phi^T is Phi z
+        z_new = np.matmul(r, phi)
+        z_new *= mu
+        z_new += z
+        top_k(z_new)
+        d = z_new - z
+        z = z_new
+        # the residual of this iterate is also the next iteration's gradient input
+        r = y - np.matmul(z, phi_t)
+        stopped = []
+        for i, ((d_sq,), (z_sq,), (r_sq,), history) in enumerate(zip(
+                np.vecdot(d, d).tolist(), np.vecdot(z, z).tolist(),
+                np.vecdot(r, r).tolist(), residuals)):
+            history.append(math.sqrt(r_sq))
+            if math.sqrt(d_sq) <= tol * max(math.sqrt(z_sq), 1e-300):
+                converged[live[i]] = True
+            elif (it >= _DIVERGENCE_WINDOW and
+                    history[-1] > _DIVERGENCE_FACTOR * history[-1 - _DIVERGENCE_WINDOW]):
+                diverged[live[i]] = True
+            elif it < max_iters:
+                continue
+            stopped.append(i)
+        if stopped:
+            for i in stopped:
+                iterations[live[i]] = it
+                z_hat[live[i]] = z[i, 0]
+            keep = [i for i in range(len(live)) if i not in stopped]
+            if not keep:
+                break
+            live = [live[i] for i in keep]
+            residuals = [residuals[i] for i in keep]
+            phi, y, mu, z, r = phi[keep], y[keep], mu[keep], z[keep], r[keep]
+            phi_t = phi.transpose(0, 2, 1)
+            top_k = _TopK(top_k.k[keep], n)
+    return z_hat, iterations, converged, diverged
+
+
+def iht(problem: RecoveryProblem, k: int, max_iters: int = _MAX_ITERS,
+        step: Union[float, str] = "adaptive", tol: float = _TOL) -> RecoveryResult:
     """Iterative hard thresholding: z <- H_k(z + step Phi^T (y - Phi z)).
 
     Stops when the update norm drops below tol * |z| or after max_iters.
     A residual that grows tenfold over a 50-iteration window flags the
     run as diverged.  step="adaptive" uses 1 / |Phi|^2 from 30 power
-    iterations.
+    iterations.  The solve is a stack of one through `_iht_stack`, the
+    loop that also solves a phase cell's trials.
     """
     phi, y = problem.phi, problem.y
     m, n = phi.shape
@@ -242,28 +345,10 @@ def iht(problem: RecoveryProblem, k: int, max_iters: int = 500,
         if mu <= 0:
             raise ValueError(f"step must be positive, got {step}")
 
-    z = np.zeros(n)
-    r_vec = y - phi @ z
-    residuals = [float(np.linalg.norm(y))]
-    converged = False
-    diverged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        z_new = _hard_threshold(z + mu * (phi.T @ r_vec), k)
-        update = float(np.linalg.norm(z_new - z))
-        z = z_new
-        # the residual of this iterate is also the next iteration's gradient input
-        r_vec = y - phi @ z
-        residuals.append(float(np.linalg.norm(r_vec)))
-        if update <= tol * max(float(np.linalg.norm(z)), 1e-300):
-            converged = True
-            break
-        if (it >= _DIVERGENCE_WINDOW and
-                residuals[-1] > _DIVERGENCE_FACTOR * residuals[-1 - _DIVERGENCE_WINDOW]):
-            diverged = True
-            break
-    return _finish(z, phi, y, problem, iterations=it, converged=converged,
-                   diverged=diverged)
+    z, iterations, converged, diverged = _iht_stack(
+        phi[None], y[None], np.array([k]), np.array([mu]), max_iters, tol)
+    return _finish(z[0], phi, y, problem, iterations=iterations[0],
+                   converged=converged[0], diverged=diverged[0])
 
 
 def simulate_problem(model: BilinearModel, phi: np.ndarray,
@@ -346,6 +431,11 @@ def phase_transition(map_spec: BilinearMapSpec, n: int, s: int, f: int,
     system is underdetermined on every candidate support).  Degenerate
     draws (null image) are redrawn.  Trial (mi, t) seeds from
     (seed, mi, t), so grid subsets reproduce.
+
+    A cell first draws all of its trials, then runs their IHT solves as
+    one lockstep stack (`_iht_stack`).  Each trial draws only from its own
+    stream, so drawing ahead changes no draw, and the stack gives every
+    trial the bits a lone `iht` run gives it.
     """
     if map_spec.ambient_dim != n:
         raise ValueError(f"map ambient dim {map_spec.ambient_dim} != n={n}")
@@ -362,7 +452,7 @@ def phase_transition(map_spec: BilinearMapSpec, n: int, s: int, f: int,
 
     cells = []
     for mi, m in enumerate(m_grid):
-        successes = 0
+        phis, ys, truths, ks = [], [], [], []
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, mi, t)))
             for _ in range(_MAX_REDRAWS):
@@ -378,18 +468,24 @@ def phase_transition(map_spec: BilinearMapSpec, n: int, s: int, f: int,
             else:
                 raise ValueError("could not draw a nondegenerate sample pair "
                                  f"after {_MAX_REDRAWS} attempts")
-            model = BilinearModel(map_spec, cone_x, cone_y)
-            k = model_sparsity(model)
+            k = model_sparsity(BilinearModel(map_spec, cone_x, cone_y))
             if k > m:
                 continue
             phi = _draw(GAUSSIAN, m, n, rng)
-            y = phi @ z
-            problem = RecoveryProblem(phi=phi, y=y, model=model,
-                                      truth=(x, y_vec, z))
-            result = iht(problem, k)
-            if result.relative_error is not None and \
-                    result.relative_error <= delta_success:
-                successes += 1
+            phis.append(phi)
+            ys.append(phi @ z)
+            truths.append(z)
+            ks.append(k)
+        successes = 0
+        if phis:
+            z_hat, _, _, _ = _iht_stack(np.stack(phis), np.stack(ys), np.array(ks),
+                                        np.array([_adaptive_step(p) for p in phis]),
+                                        _MAX_ITERS, _TOL)
+            truth = np.stack(truths)
+            miss = z_hat - truth
+            # |z_hat - z| / |z| as _finish scores it; a redrawn image is never 0
+            errors = np.sqrt(np.vecdot(miss, miss)) / np.sqrt(np.vecdot(truth, truth))
+            successes = int(np.count_nonzero(errors <= delta_success))
         cells.append(PhaseCell(m=int(m), trials=trials, successes=successes))
 
     return PhaseTransitionResult(

@@ -38,6 +38,9 @@ _SIZE_GUARD = 10 ** 7
 
 _DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
+# rows per block of _row_norms
+_NORM_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
@@ -144,6 +147,13 @@ class DistortionReport:
         }
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1), bit for bit, computed in blocks of rows
+    so that the squared copy it makes never spans the whole array."""
+    return np.concatenate([np.linalg.norm(a[i:i + _NORM_ROWS], axis=1)
+                           for i in range(0, a.shape[0], _NORM_ROWS)])
+
+
 def rip_monte_carlo(map_spec: BilinearMapSpec,
                     cone_x: ConeSpec,
                     cone_y: ConeSpec,
@@ -191,7 +201,7 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
         ex = np.vstack([np.asarray(p[0], dtype=np.float64) for p in extra_pairs])
         ey = np.vstack([np.asarray(p[1], dtype=np.float64) for p in extra_pairs])
         zs = np.vstack([apply_map_batch(map_spec, ex, ey), zs])
-    norms = np.linalg.norm(zs, axis=1)
+    norms = _row_norms(zs)
     keep = norms >= DEGENERATE_NORM
     skipped = int(np.sum(~keep))
     if not np.any(keep):
@@ -200,7 +210,7 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
 
     if skipped:
         zs, norms = zs[keep], norms[keep]
-    image_norms = np.linalg.norm(zs @ phi.T, axis=1)
+    image_norms = _row_norms(zs @ phi.T)
     abs_dist = np.abs(image_norms / norms - 1.0)
     qs = tuple((float(q), float(np.quantile(abs_dist, q))) for q in quantile_levels)
     return DistortionReport(

@@ -10,8 +10,9 @@ from bilinear_cs.recovery import (BilinearModel, PhaseCell, RecoveryProblem,
                                   output_support, phase_transition,
                                   simulate_problem)
 from bilinear_cs.sensing import GAUSSIAN, _draw, orthonormal_rows
-from bilinear_cs.sparse_model import (SUBSPACE, ConeSpec, support_from_indices,
-                                      support_sum)
+from bilinear_cs.sparse_model import (POSITIVE_ORTHANT, SUBSPACE, ConeSpec,
+                                      support_from_indices, support_sum,
+                                      unit_cone_directions)
 
 
 def conv_model(n, i_idx, j_idx, kind=SUBSPACE):
@@ -209,23 +210,32 @@ def test_iht_flags_divergence_with_oversized_step():
     assert not out.converged
 
 
+def stable_top_k(v, k):
+    """The k largest-magnitude entries of v, ties toward the lowest index,
+    zero elsewhere."""
+    order = np.argsort(-np.abs(v), kind="stable")
+    out = np.zeros_like(v)
+    out[order[:k]] = v[order[:k]]
+    return out
+
+
 def two_product_iht(phi, y, k, mu, max_iters, tol=1e-8):
     """IHT computing Phi z twice an iteration: once for the gradient at
-    the top, once for the residual norm at the end."""
+    the top, once for the residual norm at the end.  A residual tenfold
+    that of 50 iterations before stops the run as diverged."""
     z = np.zeros(phi.shape[1])
     residuals = [float(np.linalg.norm(y))]
     converged = diverged = False
     for it in range(1, max_iters + 1):
         r_vec = y - phi @ z
-        z_new = recovery._hard_threshold(z + mu * (phi.T @ r_vec), k)
+        z_new = stable_top_k(z + mu * (phi.T @ r_vec), k)
         update = float(np.linalg.norm(z_new - z))
         z = z_new
         residuals.append(float(np.linalg.norm(y - phi @ z)))
         if update <= tol * max(float(np.linalg.norm(z)), 1e-300):
             converged = True
             break
-        window = recovery._DIVERGENCE_WINDOW
-        if it >= window and residuals[-1] > recovery._DIVERGENCE_FACTOR * residuals[-1 - window]:
+        if it >= 50 and residuals[-1] > 10.0 * residuals[-51]:
             diverged = True
             break
     return z, it, converged, diverged
@@ -243,6 +253,38 @@ def test_iht_matches_two_product_loop_bitwise():
             assert np.array_equal(out.z_hat, z)
             assert (out.iterations, out.converged, out.diverged) == (its, converged, diverged)
             assert out.residual == float(np.linalg.norm(phi @ z - prob.y))
+
+
+def test_iht_stack_matches_lone_runs_bitwise():
+    # one stack whose members stop at different iterations, by converging,
+    # diverging (step 10) or reaching the cap, so members leave it in turns
+    n, m, max_iters = 32, 24, 300
+    model = conv_model(n, [0, 1], [0, 8])
+    phis, ys, ks, mus = [], [], [], []
+    for t in range(12):
+        phi = _draw(GAUSSIAN, m, n, np.random.default_rng(t))
+        phis.append(phi)
+        ys.append(simulate_problem(model, phi, noise_sigma=1e-3 * (t % 3), seed=t).y)
+        ks.append((2, 4, 6, 3)[t % 4])
+        mus.append(10.0 if t % 5 == 4 else recovery._adaptive_step(phi))
+    # Phi = [I 0] with k = M keeps every entry, so the residual grows by
+    # |1 - step| = 1.0476 an iteration: tenfold after 50 iterations, not 49
+    phis.append(np.eye(m, n))
+    ys.append(np.random.default_rng(12).standard_normal(m))
+    ks.append(m)
+    mus.append(2.0476)
+    z, its, converged, diverged = recovery._iht_stack(
+        np.stack(phis), np.stack(ys), np.array(ks), np.array(mus), max_iters, 1e-8)
+    assert (its[12], diverged[12]) == (50, True)
+    for t in range(13):
+        z_ref, its_ref, conv_ref, div_ref = two_product_iht(phis[t], ys[t], ks[t], mus[t],
+                                                            max_iters)
+        assert np.array_equal(z[t], z_ref)
+        assert (its[t], converged[t], diverged[t]) == (its_ref, conv_ref, div_ref)
+    capped = [t for t in range(13) if not (converged[t] or diverged[t])]
+    assert any(converged) and any(diverged) and capped
+    assert {its[t] for t in capped} == {max_iters}
+    assert len(set(its)) >= 8
 
 
 def test_iht_breaks_ties_toward_low_indices():
@@ -347,6 +389,47 @@ def test_phase_transition_rate_climbs_with_m():
     rates = res.rates()
     assert rates[-1] >= 0.7
     assert spearman([4, 8, 16, 32], rates) >= 0.9
+
+
+def reference_phase_successes(spec, n, s, f, cone_kind, m_grid, trials,
+                              delta_success, seed):
+    """phase_transition's tally, one trial after another: each trial draws
+    from its own (seed, mi, t) stream and is solved alone."""
+    tally = []
+    for mi, m in enumerate(m_grid):
+        successes = 0
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, mi, t)))
+            while True:
+                i_idx = np.sort(rng.choice(n, size=s, replace=False))
+                j_idx = np.sort(rng.choice(n, size=f, replace=False))
+                cone_x = ConeSpec(support_from_indices(i_idx, n), cone_kind)
+                cone_y = ConeSpec(support_from_indices(j_idx, n), cone_kind)
+                x = unit_cone_directions(cone_x, 1, rng)[0]
+                y_vec = unit_cone_directions(cone_y, 1, rng)[0]
+                z = apply_map(spec, x, y_vec)
+                if np.linalg.norm(z) >= 1e-12:
+                    break
+            k = model_sparsity(BilinearModel(spec, cone_x, cone_y))
+            if k > m:
+                continue
+            phi = _draw(GAUSSIAN, m, n, rng)
+            y = phi @ z
+            z_hat, _, _, _ = two_product_iht(phi, y, k, recovery._adaptive_step(phi), 500)
+            if float(np.linalg.norm(z_hat - z)) / float(np.linalg.norm(z)) <= delta_success:
+                successes += 1
+        tally.append(successes)
+    return tally
+
+
+@pytest.mark.parametrize("map_kind,cone_kind", [(CIRCULAR_CONVOLUTION, SUBSPACE),
+                                                (POINTWISE, POSITIVE_ORTHANT)])
+def test_phase_transition_matches_per_trial_reference(map_kind, cone_kind):
+    spec = BilinearMapSpec(map_kind, 32)
+    m_grid = (4, 8, 16, 32)
+    res = phase_transition(spec, 32, 2, 2, cone_kind, m_grid, 20, seed=0)
+    assert [c.successes for c in res.cells] == reference_phase_successes(
+        spec, 32, 2, 2, cone_kind, m_grid, 20, 1e-3, 0)
 
 
 def test_phase_transition_full_measurement_rate():
