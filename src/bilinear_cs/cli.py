@@ -476,18 +476,21 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
+# built once, as main may run many configs in one process
+_PARSER = argparse.ArgumentParser(
+    prog="bilinear-cs",
+    description="Seeded experiments on sparse bilinear maps: norm bounds, "
+                "random-projection distortion, and recovery.")
+_PARSER.add_argument("--config", required=True, help="JSON experiment config")
+_PARSER.add_argument("--seed", type=int, default=None,
+                     help="override the config's seed")
+_PARSER.add_argument("--output", default=None, help="override the output path")
+_PARSER.add_argument("--format", choices=FORMATS, default=None,
+                     help="override the output format")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bilinear-cs",
-        description="Seeded experiments on sparse bilinear maps: norm bounds, "
-                    "random-projection distortion, and recovery.")
-    parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's seed")
-    parser.add_argument("--output", default=None, help="override the output path")
-    parser.add_argument("--format", choices=FORMATS, default=None,
-                        help="override the output format")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = load_config(args.config, seed_override=args.seed,
                              output_override=args.output,

@@ -15,7 +15,8 @@ fixed by its basis images B[a, b] = T(e_{i_a}, e_{j_b}) (`basis_images`,
 shape (S, F, N)); every estimator works on B in coefficient space.  The
 brute sweep (and `sensing.rip_monte_carlo`) draws (T, S) and (T, F)
 coefficient batches and evaluates them with `apply_restricted_batch`,
-never embedding a sample at length N.
+never embedding a sample at length N.  The alternating search runs the
+min and max runs of all its restarts as one lockstep stack (`_alternate`).
 
 Three estimators with different trade-offs:
 
@@ -27,7 +28,7 @@ Three estimators with different trade-offs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -190,69 +191,70 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
     )
 
 
-def _extreme_singular_direction(a: np.ndarray, mode: str, kind: str) -> Optional[np.ndarray]:
-    """Smallest/largest right singular direction of A, projected to the cone.
-
-    Orthant projection is clamp-to-zero plus renormalize after picking the
-    sign with the larger nonnegative mass; returns None when the clamp
-    annihilates the vector.  For nonnegative A the leading direction is
-    already nonnegative (Perron), so the max mode loses nothing.
-    """
-    _, _, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt[0] if mode == "max" else vt[-1]
-    if kind == POSITIVE_ORTHANT:
-        pos = np.linalg.norm(np.clip(v, 0.0, None))
-        neg = np.linalg.norm(np.clip(-v, 0.0, None))
-        if neg > pos:
-            v = -v
-        v = np.clip(v, 0.0, None)
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return None
-        return v / nv
-    return v / np.linalg.norm(v)
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Row norms, each the root of the dot product np.linalg.norm takes."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _restricted(coeffs: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k images[k] as an (N, images.shape[1]) matrix.
-
-    The copy to C order is deliberate: LAPACK returns different bits for a
-    transposed view, and C order keeps the SVDs of the alternating search
-    reproducible against the column-stacked matrices it used before.
-    """
+    """sum_k coeffs[t, k] images[k] for each row t, as (T, N, images.shape[1]);
+    one gemv per row.  The copy to C order is deliberate: A @ v takes
+    other bits from a transposed view."""
     k, m, n = images.shape
-    return np.ascontiguousarray((coeffs @ images.reshape(k, m * n)).reshape(m, n).T)
+    flat = np.matmul(coeffs[:, None, :], images.reshape(k, m * n))
+    return np.ascontiguousarray(flat.reshape(-1, m, n).transpose(0, 2, 1))
 
 
-def _alternate(images, images_t, kinds, x, y, mode, max_iters, tol):
-    """One alternating run from coefficients (x, y); monotone in the objective.
+def _half_step(a, use_max, kind, current, side):
+    """Move one side of each member to the largest (where use_max) or
+    smallest right singular direction of its A[t], where that improves.
 
-    With B = images of shape (S, F, N), A(x) = sum_a x_a B[a] gives
-    T(x, y) = A(x) y, and A(y) = sum_b y_b B[:, b] (from images_t, the
-    (F, S, N) transpose) gives T(x, y) = A(y) x, so no step assumes T is
-    symmetric.
+    Orthant projection takes the sign with the larger nonnegative mass, at
+    least 1/sqrt(2) for a unit vector, clamps the rest to zero and rescales.
+    Nonnegative A has a nonnegative leading direction (Perron), so max mode
+    loses nothing.
     """
-    better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
-    current = float(np.linalg.norm(_restricted(x, images) @ y))
-    converged = False
+    vt = np.linalg.svd(a, full_matrices=False).Vh
+    v = vt[np.arange(len(vt)), np.where(use_max, 0, vt.shape[1] - 1)]
+    if kind == POSITIVE_ORTHANT:
+        pos = np.clip(v, 0.0, None)
+        neg = np.clip(-v, 0.0, None)
+        v = np.where((_norms(neg) > _norms(pos))[:, None], neg, pos)
+    v = v / _norms(v)[:, None]
+    cand = _norms(np.matmul(a, v[:, :, None])[:, :, 0])
+    better = np.where(use_max, cand > current, cand < current)
+    return np.where(better[:, None], v, side), np.where(better, cand, current)
+
+
+def _alternate(images, kinds, x, y, use_max, max_iters, tol):
+    """Alternating runs from starts x (T, S) and y (T, F) in lockstep, max
+    where use_max, else min; values, x, y and converged flags in order.
+
+    With B = images (S, F, N), T(x, y) = A(x) y = A(y) x for A(x) = sum_a
+    x_a B[a] and A(y) = sum_b y_b B[:, b]: no step assumes T symmetric.
+    Members take lone runs' steps bit for bit (stacked products and SVDs
+    are the same BLAS and LAPACK calls) and leave on the step they converge.
+    """
+    images_t = np.ascontiguousarray(images.transpose(1, 0, 2))
+    current = _norms(np.matmul(_restricted(x, images), y[:, :, None])[:, :, 0])
+    out = [current.copy(), x.copy(), y.copy()]
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
     for _ in range(max_iters):
         previous = current
-        a = _restricted(x, images)
-        v = _extreme_singular_direction(a, mode, kinds[1])
-        if v is not None:
-            cand = float(np.linalg.norm(a @ v))
-            if better(cand, current):
-                y, current = v, cand
-        b = _restricted(y, images_t)
-        u = _extreme_singular_direction(b, mode, kinds[0])
-        if u is not None:
-            cand = float(np.linalg.norm(b @ u))
-            if better(cand, current):
-                x, current = u, cand
-        if abs(previous - current) < tol:
-            converged = True
-            break
-    return current, x, y, converged
+        y, current = _half_step(_restricted(x, images), use_max, kinds[1], current, y)
+        x, current = _half_step(_restricted(y, images_t), use_max, kinds[0], current, x)
+        stop = np.abs(previous - current) < tol
+        for held, now in zip(out, (current, x, y)):
+            held[live] = now
+        if stop.any():
+            converged[live[stop]] = True
+            keep = ~stop
+            live, x, y, current, use_max = (
+                live[keep], x[keep], y[keep], current[keep], use_max[keep])
+            if not live.size:
+                break
+    return (*out, converged)
 
 
 def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
@@ -264,43 +266,37 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     the extreme right singular direction of that matrix, built from the
     basis images, projected to the cone for positive orthants.  Updates
     are only accepted when they improve, so the objective is monotone
-    across iterations.
+    across iterations.  Each restart's start comes from its own stream, so
+    all are drawn first and every restart's min and max runs are one stack.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     images = basis_images(spec, cone_x.support, cone_y.support)
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    images_t = np.ascontiguousarray(images.transpose(1, 0, 2))
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts))
+    x0, y0 = zip(*[(unit_cone_coefficients(cone_x, 1, rng),
+                    unit_cone_coefficients(cone_y, 1, rng)) for rng in rngs])
     kinds = (cone_x.kind, cone_y.kind)
-
-    best_a = np.inf
-    best_b = -np.inf
-    wit_a = wit_b = None
-    conv_a = conv_b = True
-    for child in children:
-        rng = np.random.default_rng(child)
-        x0 = unit_cone_coefficients(cone_x, 1, rng)[0]
-        y0 = unit_cone_coefficients(cone_y, 1, rng)[0]
-        val, x, y, ok = _alternate(images, images_t, kinds, x0, y0, "min", max_iters, tol)
-        if val < best_a:
-            best_a, wit_a, conv_a = val, (x, y), ok
-        val, x, y, ok = _alternate(images, images_t, kinds, x0, y0, "max", max_iters, tol)
-        if val > best_b:
-            best_b, wit_b, conv_b = val, (x, y), ok
+    # members 0..restarts-1 are the min runs, the rest the max runs
+    val, x, y, converged = _alternate(images, kinds, np.concatenate(x0 * 2),
+                                      np.concatenate(y0 * 2),
+                                      np.repeat([False, True], restarts), max_iters, tol)
+    # the first restart wins ties, as in a scan in restart order
+    i_a = int(np.argmin(val[:restarts]))
+    i_b = restarts + int(np.argmax(val[restarts:]))
 
     return RnmpEstimate(
         support_pair=(cone_x.support, cone_y.support),
         cone_kinds=kinds,
-        alpha_est=best_a,
-        beta_est=best_b,
-        alpha_witness=(_embed(wit_a[0], cone_x), _embed(wit_a[1], cone_y)),
-        beta_witness=(_embed(wit_b[0], cone_x), _embed(wit_b[1], cone_y)),
+        alpha_est=float(val[i_a]),
+        beta_est=float(val[i_b]),
+        alpha_witness=(_embed(x[i_a], cone_x), _embed(y[i_a], cone_y)),
+        beta_witness=(_embed(x[i_b], cone_x), _embed(y[i_b], cone_y)),
         method="alternating",
         restarts=restarts,
         tol=tol,
-        converged=conv_a and conv_b,
+        converged=bool(converged[i_a] and converged[i_b]),
     )
 
 
@@ -320,15 +316,15 @@ def _sphere_grid(dim: int, kind: str, g: int) -> np.ndarray:
         axes = [np.linspace(0.0, np.pi, g)] * (dim - 2) + [
             np.linspace(0.0, 2 * np.pi, g, endpoint=False)
         ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    thetas = np.stack([m.ravel() for m in mesh], axis=1)
-    coords = np.empty((thetas.shape[0], dim))
-    sin_prod = np.ones(thetas.shape[0])
-    for k in range(dim - 1):
-        coords[:, k] = sin_prod * np.cos(thetas[:, k])
-        sin_prod = sin_prod * np.sin(thetas[:, k])
-    coords[:, dim - 1] = sin_prod
-    return coords
+    # angle k varies along axis k, the last fastest: meshgrid's row order
+    coords = np.empty((g,) * (dim - 1) + (dim,))
+    sin_prod = 1.0
+    for k, theta in enumerate(axes):
+        along_k = (g,) + (1,) * (dim - 2 - k)
+        coords[..., k] = sin_prod * np.cos(theta).reshape(along_k)
+        sin_prod = sin_prod * np.sin(theta).reshape(along_k)
+    coords[..., dim - 1] = sin_prod
+    return coords.reshape(-1, dim)
 
 
 def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
@@ -341,12 +337,13 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     """
     if grid_per_dim < 3:
         raise ValueError("grid_per_dim must be >= 3")
-    images = basis_images(spec, cone_x.support, cone_y.support)
-    xs = _sphere_grid(cone_x.dim, cone_x.kind, grid_per_dim)
-    ys = _sphere_grid(cone_y.dim, cone_y.kind, grid_per_dim)
-    n_pairs = xs.shape[0] * ys.shape[0]
+    n_pairs = grid_per_dim ** (cone_x.dim - 1 + cone_y.dim - 1)
     if n_pairs > GRID_GUARD:
         raise ValueError(f"grid of {n_pairs} pairs exceeds the {GRID_GUARD} guard")
+    images = basis_images(spec, cone_x.support, cone_y.support)
+    xs = _sphere_grid(cone_x.dim, cone_x.kind, grid_per_dim)
+    same = (cone_y.dim, cone_y.kind) == (cone_x.dim, cone_x.kind)
+    ys = xs if same else _sphere_grid(cone_y.dim, cone_y.kind, grid_per_dim)
 
     # G[(a,a'),(b,b')] = <B[a,b], B[a',b']> evaluates ||T(x,y)||^2 for
     # whole grids at once

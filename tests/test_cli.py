@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bilinear_cs import rnmp
 from bilinear_cs.bounds import union_bound_samples
 from bilinear_cs.cli import (ConfigError, ExperimentConfig, emit_plot_data,
                              json_text, load_config, main, run)
@@ -207,6 +208,43 @@ def test_reruns_are_byte_identical(tmp_path):
     c = (tmp_path / "c.json").read_bytes()
     assert json.loads(c)["config"]["seed"] == 4
     assert a.replace(b"a.json", b"") != c.replace(b"c.json", b"")
+
+
+def test_overrides_do_not_carry_into_the_next_call(tmp_path):
+    # main parses with one parser built at import
+    path = bounds_config(tmp_path)
+    assert main(["--config", path, "--seed", "7", "--output",
+                 str(tmp_path / "over.csv"), "--format", "csv"]) == 0
+    header = (tmp_path / "over.csv").read_text().splitlines()
+    assert "# seed=7" in header and "# format=csv" in header
+    assert main(["--config", path]) == 0
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["config"]["seed"] == 0
+    assert doc["config"]["format"] == "json"
+    assert doc["config"]["output"] == str(tmp_path / "out.json")
+
+
+def test_oversized_grid_exits_1_before_building_it(tmp_path, capsys, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("grid built before the guard")
+
+    monkeypatch.setattr(rnmp, "_sphere_grid", no_grid)
+    body = {
+        "schema": 1,
+        "command": "rnmp",
+        "parameters": {"map": "circular_convolution", "n": 16,
+                       "i": [0, 1, 2, 3, 4, 5], "j": [0, 2, 4, 6, 8, 10],
+                       "method": "grid", "grid_per_dim": 64},
+        "output": str(tmp_path / "grid.json"),
+    }
+    path = write_config(tmp_path, "grid_cfg.json", body)
+    assert main(["--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == {
+        "kind": "runtime",
+        "message": f"grid of {64 ** 10} pairs exceeds the {rnmp.GRID_GUARD} guard"}
+    assert not (tmp_path / "grid.json").exists()
 
 
 def test_rip_mc_csv_rows(tmp_path):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from bilinear_cs import rnmp
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, apply_map_batch, dft_unitary)
-from bilinear_cs.rnmp import (_BATCH, RnmpEstimate, apply_restricted_batch,
-                              basis_images, certify_exhaustive,
-                              estimate_alternating, estimate_brute, norm_ratio)
+from bilinear_cs.rnmp import (_BATCH, GRID_GUARD, RnmpEstimate, _sphere_grid,
+                              apply_restricted_batch, basis_images,
+                              certify_exhaustive, estimate_alternating,
+                              estimate_brute, norm_ratio)
 from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
                                       ConeSpec, Support, support_from_indices,
-                                      unit_cone_directions)
+                                      unit_cone_coefficients, unit_cone_directions)
 
 
 def subspace_pair(n, i_idx, j_idx):
@@ -191,6 +193,161 @@ def test_alternating_determinism_and_validation():
         estimate_alternating(spec, cx, cy, restarts=0)
     with pytest.raises(ValueError):
         estimate_alternating(spec, cx, cy, tol=0.0)
+
+
+def lone_alternating(spec, cone_x, cone_y, restarts, max_iters, tol, seed):
+    """estimate_alternating as lone runs, one SVD per half step: each
+    restart's min run, then its max run, first best in restart order.
+    Returns the estimate's fields and each run's (steps, converged)."""
+    images = basis_images(spec, cone_x.support, cone_y.support)
+    images_t = np.ascontiguousarray(images.transpose(1, 0, 2))
+    kinds = (cone_x.kind, cone_y.kind)
+
+    def restricted(c, imgs):
+        k, m, n = imgs.shape
+        return np.ascontiguousarray((c @ imgs.reshape(k, m * n)).reshape(m, n).T)
+
+    def direction(a, mode, kind):
+        _, _, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt[0] if mode == "max" else vt[-1]
+        if kind == POSITIVE_ORTHANT:
+            pos = np.linalg.norm(np.clip(v, 0.0, None))
+            neg = np.linalg.norm(np.clip(-v, 0.0, None))
+            if neg > pos:
+                v = -v
+            v = np.clip(v, 0.0, None)
+            nv = np.linalg.norm(v)
+            # the larger nonnegative mass of a unit vector is at least
+            # 1/sqrt(2), so the clamp never annihilates it
+            assert nv > 0.7
+            return v / nv
+        return v / np.linalg.norm(v)
+
+    def run(x, y, mode):
+        better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
+        current = float(np.linalg.norm(restricted(x, images) @ y))
+        for step in range(1, max_iters + 1):
+            previous = current
+            a = restricted(x, images)
+            v = direction(a, mode, kinds[1])
+            cand = float(np.linalg.norm(a @ v))
+            if better(cand, current):
+                y, current = v, cand
+            b = restricted(y, images_t)
+            u = direction(b, mode, kinds[0])
+            cand = float(np.linalg.norm(b @ u))
+            if better(cand, current):
+                x, current = u, cand
+            if abs(previous - current) < tol:
+                return current, x, y, (step, True)
+        return current, x, y, (max_iters, False)
+
+    best_a, best_b, runs = np.inf, -np.inf, []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        x0 = unit_cone_coefficients(cone_x, 1, rng)[0]
+        y0 = unit_cone_coefficients(cone_y, 1, rng)[0]
+        val, x, y, stop = run(x0, y0, "min")
+        runs.append(stop)
+        if val < best_a:
+            best_a, wit_a, conv_a = val, (x, y), stop[1]
+        val, x, y, stop = run(x0, y0, "max")
+        runs.append(stop)
+        if val > best_b:
+            best_b, wit_b, conv_b = val, (x, y), stop[1]
+    return best_a, best_b, wit_a, wit_b, conv_a and conv_b, runs
+
+
+# S or F is 1 in the first two; pointwise maps on partly disjoint supports
+# have zero rows and columns
+ALTERNATING_SUPPORTS = [
+    (3, [1], [0, 2]),
+    (5, [0, 1, 3], [2]),
+    (8, [0, 2, 3], [1, 2, 5, 7]),
+    (13, [1, 2, 5, 8], [0, 2, 9]),
+]
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 200])
+def test_alternating_stack_matches_lone_runs_bitwise(max_iters):
+    stack_stops = []
+    for kind in (POINTWISE, CIRCULAR_CONVOLUTION, UNITARY_PRODUCT):
+        for n, i_idx, j_idx in ALTERNATING_SUPPORTS:
+            unitary = dft_unitary(n) if kind == UNITARY_PRODUCT else None
+            spec = BilinearMapSpec(kind, n, unitary=unitary)
+            for kind_x, kind_y in ((SUBSPACE, SUBSPACE),
+                                   (POSITIVE_ORTHANT, POSITIVE_ORTHANT),
+                                   (SUBSPACE, POSITIVE_ORTHANT)):
+                cx = ConeSpec(support_from_indices(i_idx, n), kind_x)
+                cy = ConeSpec(support_from_indices(j_idx, n), kind_y)
+                est = estimate_alternating(spec, cx, cy, restarts=6,
+                                           max_iters=max_iters, seed=n)
+                alpha, beta, wit_a, wit_b, converged, runs = lone_alternating(
+                    spec, cx, cy, 6, max_iters, est.tol, seed=n)
+                assert est.alpha_est == alpha and est.beta_est == beta
+                assert est.converged == converged
+                for got, want, cone in zip(est.alpha_witness + est.beta_witness,
+                                           wit_a + wit_b, (cx, cy, cx, cy)):
+                    want_n = np.zeros(n)
+                    want_n[cone.support.as_array()] = want
+                    assert np.array_equal(got, want_n)
+                stack_stops.append(set(runs))
+    # the stacks shrink: members of one stack stop at different steps, or
+    # some converge while others run on to the cap
+    if max_iters > 1:
+        assert any(len(stops) > 1 for stops in stack_stops)
+    if max_iters < 200:
+        assert {ok for stops in stack_stops for _, ok in stops} == {True, False}
+
+
+def meshgrid_sphere(dim, kind, g):
+    """The sphere grid built from the meshgrid of every angle, running
+    the sin product over the flattened points."""
+    if dim == 1:
+        return np.ones((1, 1))
+    if kind == POSITIVE_ORTHANT:
+        axes = [np.linspace(0.0, np.pi / 2, g)] * (dim - 1)
+    else:
+        axes = [np.linspace(0.0, np.pi, g)] * (dim - 2) + [
+            np.linspace(0.0, 2 * np.pi, g, endpoint=False)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    thetas = np.stack([m.ravel() for m in mesh], axis=1)
+    coords = np.empty((thetas.shape[0], dim))
+    sin_prod = np.ones(thetas.shape[0])
+    for k in range(dim - 1):
+        coords[:, k] = sin_prod * np.cos(thetas[:, k])
+        sin_prod = sin_prod * np.sin(thetas[:, k])
+    coords[:, dim - 1] = sin_prod
+    return coords
+
+
+# up to a million points a grid, the largest sizes criterion 10 builds
+@pytest.mark.parametrize("dim, g", [(dim, g) for dim in (1, 2, 3, 4)
+                                    for g in (3, 8, 40, 120, 240)
+                                    if g ** (dim - 1) <= 10 ** 6])
+@pytest.mark.parametrize("cone_kind", CONE_KINDS)
+def test_sphere_grid_matches_meshgrid_construction(dim, g, cone_kind):
+    got = _sphere_grid(dim, cone_kind, g)
+    want = meshgrid_sphere(dim, cone_kind, g)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grid_guard_checked_before_any_grid_is_built(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("grid built before the guard")
+
+    monkeypatch.setattr(rnmp, "_sphere_grid", no_grid)
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
+    # 101^2 points per 3-dimensional side: 1.04e8 pairs
+    cx, cy = subspace_pair(16, [0, 1, 2], [4, 5, 6])
+    assert 101 ** 4 > GRID_GUARD
+    with pytest.raises(ValueError, match="guard"):
+        certify_exhaustive(spec, cx, cy, grid_per_dim=101)
+    # a 1-dimensional cone counts one point: 465^3 is 1.005e8 pairs
+    one, four = subspace_pair(16, [3], [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="guard"):
+        certify_exhaustive(spec, one, four, grid_per_dim=465)
 
 
 def test_separated_supports_certify_as_isometry():
