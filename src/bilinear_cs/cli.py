@@ -220,6 +220,13 @@ def _take(params: dict, name: str, kind, default=None, required: bool = False):
     raise AssertionError(f"unknown parameter kind {kind}")
 
 
+def _count(params: dict, name: str, default: int, least: int) -> int:
+    value = _take(params, name, int, default=default)
+    if value < least:
+        raise ConfigError(name, f"must be >= {least}, got {value}")
+    return value
+
+
 def _check_unknown(params: dict, allowed: Sequence[str]) -> None:
     for key in params:
         if key not in allowed:
@@ -268,15 +275,15 @@ def _run_rnmp(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     method = _take(p, "method", str, default="grid")
     if method == "brute":
         est = estimate_brute(spec, cone_x, cone_y,
-                             samples=_take(p, "samples", int, default=10_000),
+                             samples=_count(p, "samples", 10_000, 1),
                              seed=config.seed)
     elif method == "alternating":
         est = estimate_alternating(spec, cone_x, cone_y,
-                                   restarts=_take(p, "restarts", int, default=8),
+                                   restarts=_count(p, "restarts", 8, 1),
                                    seed=config.seed)
     elif method == "grid":
         est = certify_exhaustive(spec, cone_x, cone_y,
-                                 grid_per_dim=_take(p, "grid_per_dim", int, default=64))
+                                 grid_per_dim=_count(p, "grid_per_dim", 64, 3))
     else:
         raise ConfigError("method", f"must be brute, alternating or grid, got {method!r}")
     return est.to_json(), None
@@ -352,7 +359,7 @@ def _run_rip_mc(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     cone_x = _cone(p, "i", "cone_x", n)
     cone_y = _cone(p, "j", "cone_y", n)
     delta = _take(p, "delta", float, required=True)
-    n_samples = _take(p, "n_samples", int, default=10_000)
+    n_samples = _count(p, "n_samples", 10_000, 1)
     e_seed, s_seed = _two_seeds(config.seed)
     ensemble = _ensemble(p, n, "M", e_seed)
     report = rip_monte_carlo(spec, cone_x, cone_y, ensemble, n_samples,

@@ -15,8 +15,12 @@ fixed by its basis images B[a, b] = T(e_{i_a}, e_{j_b}) (`basis_images`,
 shape (S, F, N)); every estimator works on B in coefficient space.  The
 brute sweep (and `sensing.rip_monte_carlo`) draws (T, S) and (T, F)
 coefficient batches and evaluates them with `apply_restricted_batch`,
-never embedding a sample at length N.  The alternating search runs the
-min and max runs of all its restarts as one lockstep stack (`_alternate`).
+never embedding a sample at length N.  It accumulates the images as
+coordinate rows, one contiguous (T,) row per output coordinate, and hands
+back their (T, N) transpose; the image norms are then sums over those
+rows (`sparse_model.row_norms`), bit for bit np.linalg.norm's.  The
+alternating search runs the min and max runs of all its restarts as one
+lockstep stack (`_alternate`).
 
 Three estimators with different trade-offs:
 
@@ -33,7 +37,8 @@ from typing import Tuple
 import numpy as np
 
 from .bilinear_ops import BilinearMapSpec, apply_map, apply_map_batch
-from .sparse_model import POSITIVE_ORTHANT, ConeSpec, Support, unit_cone_coefficients
+from .sparse_model import (POSITIVE_ORTHANT, ConeSpec, Support, row_norms,
+                           unit_cone_coefficients)
 
 GRID_GUARD = 10 ** 8
 _BATCH = 20_000
@@ -120,20 +125,22 @@ def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.nd
 
 def apply_restricted_batch(images: np.ndarray, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
     """Rowwise T(x_t, y_t) from coefficient batches xc (T, S) and yc (T, F)
-    on the support pair of the basis images B = `images`; (T, N), C order.
+    on the support pair of the basis images B = `images`, as a (T, N)
+    F-ordered view: the transpose, not a copy, of the C-ordered (N, T)
+    coordinate rows it accumulates, one contiguous row per coordinate k.
 
-    Column k sums B[a, b, k] yc[:, b] xc[:, a] over the nonzeros of B with
-    b ascending, then a: the order in which `apply_map_batch` sums, so
-    convolution and pointwise images keep its bits.
+    Row k sums B[a, b, k] yc[:, b] xc[:, a] in sequence over the nonzeros
+    of B[:, :, k] with b ascending, then a: the order in which
+    `apply_map_batch` sums, so convolution and pointwise images keep its
+    bits.
     """
     s, f, n = images.shape
-    z = np.zeros((xc.shape[0], n))
-    for b in range(f):
-        for a in range(s):
-            ks = np.flatnonzero(images[a, b])
-            if ks.size:
-                z[:, ks] += (yc[:, b] * xc[:, a])[:, None] * images[a, b, ks]
-    return z
+    products = [yc[:, b] * xc[:, a] for b in range(f) for a in range(s)]
+    coeffs = images.transpose(1, 0, 2).reshape(f * s, n)  # row b * s + a
+    rows = np.zeros((n, xc.shape[0]))
+    for k, j in zip(*np.nonzero(coeffs.T)):
+        rows[k] += coeffs[j, k] * products[j]
+    return rows.T
 
 
 def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
@@ -167,7 +174,7 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
         count = min(_BATCH, samples - done)
         xc = unit_cone_coefficients(cone_x, count, rng_x)
         yc = unit_cone_coefficients(cone_y, count, rng_y)
-        r = np.linalg.norm(apply_restricted_batch(images, xc, yc), axis=1)
+        r = row_norms(apply_restricted_batch(images, xc, yc))
         i_min = int(np.argmin(r))
         i_max = int(np.argmax(r))
         if r[i_min] < best_min:

@@ -24,7 +24,8 @@ import numpy as np
 from .bilinear_ops import BilinearMapSpec, apply_map_batch
 from .bounds import c0
 from .rnmp import apply_restricted_batch, basis_images
-from .sparse_model import SUBSPACE, ConeSpec, unit_cone_coefficients, unit_cone_directions
+from .sparse_model import (SUBSPACE, ConeSpec, row_norms, unit_cone_coefficients,
+                           unit_cone_directions)
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -149,7 +150,9 @@ class DistortionReport:
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm(a, axis=1), bit for bit, computed in blocks of rows
-    so that the squared copy it makes never spans the whole array."""
+    so that the squared copy it makes never spans the whole array.  For
+    the C-ordered measured images Phi z, whose strided columns would make
+    `sparse_model.row_norms` slow."""
     return np.concatenate([np.linalg.norm(a[i:i + _NORM_ROWS], axis=1)
                            for i in range(0, a.shape[0], _NORM_ROWS)])
 
@@ -168,7 +171,9 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
 
     The pairs are drawn as support coefficients and mapped through the
     cone pair's basis images (`rnmp.apply_restricted_batch`); only the
-    images are held at full length N.
+    images are held at full length N, as an F-ordered view whose norms
+    are taken column by column and which is measured as it is (the gemm
+    gives the bits it gives on a C-ordered copy; a test pins this).
 
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
     (e.g. orthonormalized rows for the isometry control).  `extra_pairs`
@@ -201,7 +206,7 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
         ex = np.vstack([np.asarray(p[0], dtype=np.float64) for p in extra_pairs])
         ey = np.vstack([np.asarray(p[1], dtype=np.float64) for p in extra_pairs])
         zs = np.vstack([apply_map_batch(map_spec, ex, ey), zs])
-    norms = _row_norms(zs)
+    norms = row_norms(zs)
     keep = norms >= DEGENERATE_NORM
     skipped = int(np.sum(~keep))
     if not np.any(keep):

@@ -155,6 +155,38 @@ def is_properly_separated(i_set: Support, j_set: Support) -> bool:
     return support_sum(i_set, j_set).size == i_set.size * j_set.size
 
 
+def _sum_squares(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rowwise sum of columns[:, k]**2 over lo <= k < hi, in the order of
+    numpy's pairwise float sum: in sequence below 8 terms, in eight running
+    sums up to 128 terms, and by halving (at a multiple of 8) above that."""
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - n // 2 % 8
+        out = _sum_squares(columns, lo, mid)
+        out += _sum_squares(columns, mid, hi)
+        return out
+    if n < 8:
+        out, rest = np.square(columns[:, lo]), range(lo + 1, hi)
+    else:
+        r = [np.square(columns[:, k]) for k in range(lo, lo + 8)]
+        for k in range(lo + 8, hi - n % 8):
+            r[(k - lo) % 8] += np.square(columns[:, k])
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[i] += r[j]
+        out, rest = r[0], range(hi - n % 8, hi)
+    for k in rest:
+        out += np.square(columns[:, k])
+    return out
+
+
+def row_norms(columns: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1) of a 2-D array a, bit for bit, taken one
+    whole column at a time: no squared copy of a is made, and the columns
+    of an F-ordered a are contiguous."""
+    return np.sqrt(_sum_squares(columns, 0, columns.shape[1]))
+
+
 def unit_cone_coefficients(cone: ConeSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` unit vectors uniformly from the cone's sphere section,
     as their (count, S) coefficients on the support coordinates.
@@ -165,12 +197,12 @@ def unit_cone_coefficients(cone: ConeSpec, count: int, rng: np.random.Generator)
     """
     s = cone.dim
     g = rng.standard_normal((count, s))
-    norms = np.linalg.norm(g, axis=1)
+    norms = row_norms(g)
     # resample the (measure-zero) degenerate rows
     while np.any(norms < 1e-12):
         bad = norms < 1e-12
         g[bad] = rng.standard_normal((int(bad.sum()), s))
-        norms = np.linalg.norm(g, axis=1)
+        norms = row_norms(g)
     g /= norms[:, None]
     if cone.kind == POSITIVE_ORTHANT:
         np.abs(g, out=g)

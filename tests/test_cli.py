@@ -356,6 +356,29 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert err["error"]["kind"] == "runtime"
 
 
+@pytest.mark.parametrize("command, extra, field", [
+    ("rnmp", {"method": "brute", "samples": 0}, "samples"),
+    ("rnmp", {"method": "alternating", "restarts": 0}, "restarts"),
+    ("rnmp", {"method": "grid", "grid_per_dim": 2}, "grid_per_dim"),
+    ("rip-mc", {"M": 4, "delta": 0.5, "n_samples": 0}, "n_samples"),
+])
+def test_out_of_range_count_exits_2_naming_the_field(tmp_path, capsys, command, extra, field):
+    body = {
+        "schema": 1,
+        "command": command,
+        "parameters": {"map": "circular_convolution", "n": 8,
+                       "i": [0, 1], "j": [0, 4], **extra},
+        "output": str(tmp_path / "out.json"),
+    }
+    path = write_config(tmp_path, "cfg.json", body)
+    assert main(["--config", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["kind"] == "config"
+    assert json.loads(err[0])["error"]["field"] == field
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_csv_without_schema_exits_2(tmp_path, capsys):
     body = {
         "schema": 1,

@@ -133,6 +133,37 @@ def test_brute_matches_dense_sweep_bitwise(n, i_idx, j_idx, kind, cone_kind):
         assert np.array_equal(got, want)
 
 
+def c_order_restricted(images, xc, yc):
+    """The restricted evaluator as it was: scatters into C-ordered (T, N)
+    images, pair by pair with b ascending, then a."""
+    s, f, n = images.shape
+    z = np.zeros((xc.shape[0], n))
+    for b in range(f):
+        for a in range(s):
+            ks = np.flatnonzero(images[a, b])
+            if ks.size:
+                z[:, ks] += (yc[:, b] * xc[:, a])[:, None] * images[a, b, ks]
+    return z
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 13, 64, 256])
+@pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION, UNITARY_PRODUCT])
+def test_restricted_batch_matches_c_order_loop_bitwise(n, kind):
+    rng = np.random.default_rng(n)
+    spec = BilinearMapSpec(kind, n, unitary=dft_unitary(n) if kind == UNITARY_PRODUCT else None)
+    for s, f in ((1, 1), (min(n, 3), min(n, 2)), (min(n, 4), min(n, 5))):
+        i_set = support_from_indices(rng.choice(n, s, replace=False), n)
+        # pointwise images vanish off I ∩ J, so let J overlap I
+        j_set = support_from_indices(list(i_set.indices[:1]) + list(
+            rng.choice(n, f - 1, replace=False)), n)
+        images = basis_images(spec, i_set, j_set)
+        xc = rng.standard_normal((300, i_set.size))
+        yc = rng.standard_normal((300, j_set.size))
+        z = apply_restricted_batch(images, xc, yc)
+        assert z.flags.f_contiguous and z.base is not None  # a view, not a copy
+        assert np.array_equal(z, c_order_restricted(images, xc, yc))
+
+
 def test_brute_estimates_tighten_with_more_samples():
     # the sample streams extend, so the extremes are monotone in `samples`
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)

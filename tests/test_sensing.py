@@ -7,6 +7,7 @@ from bilinear_cs import sensing
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       BilinearMapSpec, apply_map_batch)
 from bilinear_cs.bounds import c0
+from bilinear_cs.rnmp import apply_restricted_batch, basis_images
 from bilinear_cs.sensing import (GAUSSIAN, RADEMACHER, ConcentrationResult,
                                  DistortionReport, MeasurementEnsemble,
                                  concentration_test, conjecture_probe,
@@ -189,6 +190,29 @@ def test_rip_monte_carlo_matches_dense_path_bitwise(n, i_idx, j_idx, kind, cone_
         assert np.array_equal(rep.abs_distortions, want)
         assert rep.skipped == (1 if extra_pairs else 0)
         assert rep.max_abs_distortion == np.max(want)
+
+
+# the rip-mc shapes (samples, N, M) of the benchmark's measurement_recovery
+# batch: four 20000-sample configs at N = 256, forty at N = 64
+RIP_MC_SHAPES = [(20_000, 256, 64)] + [(1_000 + 50 * c, 64, 16 * (1 + c % 2))
+                                       for c in range(4, 44)]
+
+
+def test_measuring_the_restricted_view_matches_the_c_ordered_product():
+    # rip_monte_carlo measures the F-ordered view apply_restricted_batch
+    # returns; the gemm must give the bits it gives on a C-ordered copy
+    rng = np.random.default_rng(0)
+    for c, (t, n, m) in enumerate(RIP_MC_SHAPES):
+        kind = POINTWISE if c % 2 else CIRCULAR_CONVOLUTION
+        i_idx = sorted(rng.choice(n, 3, replace=False))
+        j_idx = sorted({i_idx[0], *rng.choice(n, 2, replace=False)})
+        images = basis_images(BilinearMapSpec(kind, n), cone(n, i_idx).support,
+                              cone(n, j_idx).support)
+        z = apply_restricted_batch(images, rng.standard_normal((t, len(i_idx))),
+                                   rng.standard_normal((t, len(j_idx))))
+        phi = generate(MeasurementEnsemble(GAUSSIAN, m, n, t))
+        assert z.flags.f_contiguous
+        assert np.array_equal(z @ phi.T, np.ascontiguousarray(z) @ phi.T), (t, n, m)
 
 
 def test_rip_monte_carlo_all_degenerate_is_an_error():

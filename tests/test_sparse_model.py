@@ -3,9 +3,9 @@ import pytest
 
 from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
                                       ConeSpec, SparseVector, Support,
-                                      is_properly_separated, sample_cone,
-                                      support_from_indices, support_sum,
-                                      unit_cone_coefficients,
+                                      is_properly_separated, row_norms,
+                                      sample_cone, support_from_indices,
+                                      support_sum, unit_cone_coefficients,
                                       unit_cone_directions)
 
 
@@ -174,3 +174,78 @@ def test_unit_cone_directions_embed_the_coefficients():
         embedded = np.zeros((40, 11))
         embedded[:, [1, 2, 6, 9]] = coeffs
         assert np.array_equal(dirs, embedded)
+
+
+def test_row_norms_match_numpy_at_every_width_to_300():
+    # widths cross numpy's pairwise-sum rules: in sequence below 8 terms,
+    # eight running sums up to 128, halving above; a numpy that sums in
+    # another order fails here
+    rng = np.random.default_rng(12)
+    for width in range(1, 301):
+        a = rng.standard_normal((9, width)) * np.exp(rng.uniform(-20, 20, (9, width)))
+        a[:, rng.random(width) < 0.2] = 0.0  # zero columns
+        a[0] = 0.0  # an all-zero row
+        a[1, ::2] = 5e-324 * rng.integers(1, 1000, a[1, ::2].shape)  # subnormal
+        a[2, ::3] = 1e150 * rng.standard_normal(a[2, ::3].shape)  # squares near overflow
+        want = np.linalg.norm(a, axis=1)
+        assert np.array_equal(row_norms(a), want), width
+        assert np.array_equal(row_norms(np.asfortranarray(a)), want), width
+    assert np.array_equal(row_norms(np.zeros((3, 1))), np.zeros(3))
+
+
+class ScriptedNormals:
+    """Generator stand-in: standard_normal hands out the scripted draws in
+    turn, then the draws of a real generator, and records each shape."""
+
+    def __init__(self, scripted, seed):
+        self.scripted = [d.copy() for d in scripted]
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        if self.scripted:
+            return self.scripted.pop(0)
+        return self.rng.standard_normal(shape)
+
+
+def norm_unit_cone_coefficients(cone, count, rng):
+    """The sampler as it was written with np.linalg.norm."""
+    s = cone.dim
+    g = rng.standard_normal((count, s))
+    norms = np.linalg.norm(g, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        g[bad] = rng.standard_normal((int(bad.sum()), s))
+        norms = np.linalg.norm(g, axis=1)
+    g /= norms[:, None]
+    if cone.kind == POSITIVE_ORTHANT:
+        np.abs(g, out=g)
+    return g
+
+
+@pytest.mark.parametrize("kind", CONE_KINDS)
+def test_degenerate_rows_are_redrawn_in_stream_order(kind):
+    cone = ConeSpec(Support((0, 2, 5), 6), kind)
+    rng = np.random.default_rng(4)
+    first = rng.standard_normal((6, 3))
+    first[1] = 0.0
+    first[4] = [1e-13, 0.0, -1e-13]  # nonzero, but below the 1e-12 cut
+    second = rng.standard_normal((2, 3))
+    second[1] = 0.0  # row 4 degenerates again
+    got_rng = ScriptedNormals([first, second], seed=9)
+    got = unit_cone_coefficients(cone, 6, got_rng)
+    # one redraw per round, sized by the rows still degenerate
+    assert got_rng.shapes == [(6, 3), (2, 3), (1, 3)]
+    want = norm_unit_cone_coefficients(cone, 6, ScriptedNormals([first, second], seed=9))
+    assert np.array_equal(got, want)
+
+    def unit(v):
+        v = v / np.linalg.norm(v)
+        return np.abs(v) if kind == POSITIVE_ORTHANT else v
+
+    third = np.random.default_rng(9).standard_normal((1, 3))
+    assert np.array_equal(got[1], unit(second[0]))
+    assert np.array_equal(got[4], unit(third[0]))
+    for i in (0, 2, 3, 5):
+        assert np.array_equal(got[i], unit(first[i]))
