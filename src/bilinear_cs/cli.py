@@ -112,28 +112,38 @@ def load_config(path: str, seed_override: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
+# json.dumps of a str, without building an encoder per call
+_quote = json.encoder.encode_basestring_ascii
+
 
 def json_text(obj) -> str:
     """JSON with sorted keys and floats at 17 significant digits."""
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isinf(x) or math.isnan(x):
             raise ValueError("non-finite float in output payload")
         return format(x, ".17g")
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, dict):
-        inner = ", ".join(json.dumps(str(k)) + ": " + json_text(v)
-                          for k, v in sorted(obj.items()))
+        inner = ", ".join(_quote(str(k)) + ": " + json_text(v) for k, v in sorted(obj.items()))
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
+        # flat float or int lists (witnesses, samples) in one join
+        if all(type(v) is float for v in obj):
+            inner = ", ".join([format(v, ".17g") for v in obj])
+            if "n" in inner:  # inf or nan; finite floats print no n
+                raise ValueError("non-finite float in output payload")
+            return "[" + inner + "]"
+        if all(type(v) is int for v in obj):
+            return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(json_text(v) for v in obj) + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if obj is None:
+        return "null"
     if isinstance(obj, np.ndarray):
         return json_text(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__}")

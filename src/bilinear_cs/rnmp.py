@@ -20,19 +20,24 @@ coordinate rows, one contiguous (T,) row per output coordinate, and hands
 back their (T, N) transpose; the image norms are then sums over those
 rows (`sparse_model.row_norms`), bit for bit np.linalg.norm's.  The
 alternating search runs the min and max runs of all its restarts as one
-lockstep stack (`_alternate`).
+lockstep stack (`_alternate`).  The certifier grids one cone and solves
+the other exactly: with the outer argument u fixed, T(u, .) is the
+matrix A(u) = sum_k u_k B_k, whose extreme singular values are the
+extreme ratios over an inner subspace.
 
 Three estimators with different trade-offs:
 
   estimate_brute        random unit pairs; alpha upper / beta lower bounds
   estimate_alternating  block coordinate descent on singular directions
-  certify_exhaustive    deterministic angular grid (small dimensions only)
+  certify_exhaustive    angular grid over one cone, batched SVDs over the
+                        other; a rigorous bracket on alpha and beta from
+                        the grid's covering radius (small dimensions only)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +56,10 @@ class RnmpEstimate:
     Witnesses are unit-norm vectors supported on the declared cones; each
     reproduces its reported constant within `tol` when the ratio is
     re-evaluated.  `converged` is False when the alternating method hit
-    its iteration cap before the improvement dropped below tol.
+    its iteration cap before the improvement dropped below tol.  `bracket`
+    holds the grid's certified interval, its covering radius and its outer
+    point count (`certify_exhaustive`); it is None, and left out of the
+    JSON, for the randomized methods.
     """
 
     support_pair: Tuple[Support, Support]
@@ -64,6 +72,7 @@ class RnmpEstimate:
     restarts: int
     tol: float
     converged: bool = True
+    bracket: Optional[dict] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_est <= self.beta_est:
@@ -91,6 +100,7 @@ class RnmpEstimate:
             "restarts": self.restarts,
             "tol": self.tol,
             "converged": self.converged,
+            **(self.bracket or {}),
         }
 
 
@@ -264,6 +274,32 @@ def _alternate(images, kinds, x, y, use_max, max_iters, tol):
     return (*out, converged)
 
 
+def _starts(cone_x: ConeSpec, cone_y: ConeSpec, restarts: int, seed: int):
+    """Each restart's unit start pair, (restarts, S) and (restarts, F): the
+    draws of `unit_cone_coefficients(cone_x, 1, rng)` and then of
+    `unit_cone_coefficients(cone_y, 1, rng)` from the restart's own stream,
+    bit for bit.  The normals of x and then y come in one draw per stream,
+    and all restarts are normalized at once; a restart with a degenerate
+    draw (measure zero) is drawn again by those calls, which redraw in
+    stream order.
+    """
+    s = cone_x.dim
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    g = np.array([np.random.default_rng(c).standard_normal(s + cone_y.dim) for c in children])
+    starts, degenerate = [], np.zeros(restarts, dtype=bool)
+    for part, cone in ((g[:, :s], cone_x), (g[:, s:], cone_y)):
+        norms = row_norms(part)
+        degenerate |= norms < 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = part / norms[:, None]
+        starts.append(np.abs(unit) if cone.kind == POSITIVE_ORTHANT else unit)
+    for t in np.flatnonzero(degenerate):
+        rng = np.random.default_rng(children[t])
+        starts[0][t] = unit_cone_coefficients(cone_x, 1, rng)[0]
+        starts[1][t] = unit_cone_coefficients(cone_y, 1, rng)[0]
+    return starts
+
+
 def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
                          restarts: int = 8, max_iters: int = 200,
                          tol: float = 1e-9, seed: int = 0) -> RnmpEstimate:
@@ -281,13 +317,10 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     if tol <= 0:
         raise ValueError("tol must be positive")
     images = basis_images(spec, cone_x.support, cone_y.support)
-    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts))
-    x0, y0 = zip(*[(unit_cone_coefficients(cone_x, 1, rng),
-                    unit_cone_coefficients(cone_y, 1, rng)) for rng in rngs])
+    x0, y0 = _starts(cone_x, cone_y, restarts, seed)
     kinds = (cone_x.kind, cone_y.kind)
     # members 0..restarts-1 are the min runs, the rest the max runs
-    val, x, y, converged = _alternate(images, kinds, np.concatenate(x0 * 2),
-                                      np.concatenate(y0 * 2),
+    val, x, y, converged = _alternate(images, kinds, np.tile(x0, (2, 1)), np.tile(y0, (2, 1)),
                                       np.repeat([False, True], restarts), max_iters, tol)
     # the first restart wins ties, as in a scan in restart order
     i_a = int(np.argmin(val[:restarts]))
@@ -334,13 +367,50 @@ def _sphere_grid(dim: int, kind: str, g: int) -> np.ndarray:
     return coords.reshape(-1, dim)
 
 
+def _covering_radius(dim: int, kind: str, g: int) -> float:
+    """A chord radius rho: every unit vector of the cone lies within rho of
+    a point of `_sphere_grid(dim, kind, g)` (on a 1-dimensional subspace,
+    up to the sign the ratio ignores).
+
+    Moving angle k by d moves the point along an arc of length at most |d|
+    (its speed is a product of sines), and each angle lies within half its
+    spacing Delta_k of a grid angle, so rho = sum_k Delta_k / 2.
+    """
+    if dim == 1:
+        return 0.0
+    if kind == POSITIVE_ORTHANT:
+        return (dim - 1) * np.pi / (4 * (g - 1))
+    return (dim - 2) * np.pi / (2 * (g - 1)) + np.pi / g
+
+
+def _lipschitz(slices: np.ndarray) -> float:
+    """L = sqrt(sum_k ||slices[k]||_2^2), which bounds
+    ||sum_k d_k slices[k]||_2 by L ||d|| for every d, in the cone or not."""
+    return float(np.sqrt(np.sum(np.linalg.svd(slices, compute_uv=False)[:, 0] ** 2)))
+
+
 def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
                        grid_per_dim: int = 64) -> RnmpEstimate:
-    """Deterministic min/max of the ratio over an angular product grid.
+    """Rigorous bracket on alpha and beta: an angular grid over one cone
+    (the outer side) and the exact extremes over the other (the inner side).
 
-    Feasible only for small cone dimensions; the pair count is capped at
-    10^8.  Serves as the oracle the randomized estimators are tested
-    against: its resolution error is O(grid spacing) in the worst case.
+    With the outer unit vector u fixed, T(u, v) = A(u) v for the matrix
+    A(u) = sum_k u_k B_k of basis images, so over the unit vectors of an
+    inner subspace the ratio ranges over [sigma_min, sigma_max] of A(u):
+    one batched SVD per chunk of the grid.  A subspace is the inner side,
+    the larger one when both cones are subspaces.  On two positive
+    orthants, where min ||A(u) v|| over v >= 0 is no SVD, the inner side
+    is the inner cone's grid, evaluated through the Gram matrix of the
+    basis images.
+
+    alpha_est and beta_est are the extremes found, attained by their
+    witnesses, so alpha <= alpha_est and beta >= beta_est.  Every outer
+    cone vector lies within rho of a grid point (`_covering_radius`) and
+    ||A(d)|| <= L ||d|| (`_lipschitz`), so alpha >= alpha_est - L rho and
+    beta <= beta_est + L rho; on two orthants the slack is
+    L_x rho_x + L_y rho_y.  `bracket` holds the four bounds, rho (the
+    larger of the two on orthants) and the outer grid's size.  The pair
+    count of the product grid over both cones is capped at 10^8.
     """
     if grid_per_dim < 3:
         raise ValueError("grid_per_dim must be >= 3")
@@ -348,47 +418,77 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     if n_pairs > GRID_GUARD:
         raise ValueError(f"grid of {n_pairs} pairs exceeds the {GRID_GUARD} guard")
     images = basis_images(spec, cone_x.support, cone_y.support)
-    xs = _sphere_grid(cone_x.dim, cone_x.kind, grid_per_dim)
-    same = (cone_y.dim, cone_y.kind) == (cone_x.dim, cone_x.kind)
-    ys = xs if same else _sphere_grid(cone_y.dim, cone_y.kind, grid_per_dim)
+    flip = cone_x.kind != POSITIVE_ORTHANT and (
+        cone_y.kind == POSITIVE_ORTHANT or cone_x.dim > cone_y.dim)
+    outer, inner = (cone_y, cone_x) if flip else (cone_x, cone_y)
+    # slices[k] is B_k, the (inner dim, N) image of outer coefficient k
+    slices = images.transpose(1, 0, 2) if flip else images
+    k, m, n = slices.shape
+    us = _sphere_grid(k, outer.kind, grid_per_dim)
+    rho = _covering_radius(k, outer.kind, grid_per_dim)
+    slack = _lipschitz(slices) * rho
+    exact = inner.kind != POSITIVE_ORTHANT
+    if exact:
+        flat = slices.reshape(k, m * n)
+        per_point = m * n
+    else:
+        # G[(k,k'),(l,l')] = <B[k,l], B[k',l']> evaluates ||T(u,v)||^2 for
+        # whole grids at once
+        vs = _sphere_grid(m, inner.kind, grid_per_dim)
+        gram = np.einsum("kln,jpn->kjlp", slices, slices).reshape(k * k, m * m)
+        vv = (vs[:, :, None] * vs[:, None, :]).reshape(len(vs), m * m)
+        per_point = len(vs)
+        inner_rho = _covering_radius(m, inner.kind, grid_per_dim)
+        slack += _lipschitz(slices.transpose(1, 0, 2)) * inner_rho
+        rho = max(rho, inner_rho)
 
-    # G[(a,a'),(b,b')] = <B[a,b], B[a',b']> evaluates ||T(x,y)||^2 for
-    # whole grids at once
-    s, f = cone_x.dim, cone_y.dim
-    gram = np.einsum("abn,cdn->acbd", images, images).reshape(s * s, f * f)
-    xx = (xs[:, :, None] * xs[:, None, :]).reshape(xs.shape[0], s * s)
-    left = xx @ gram  # (a, F^2)
+    def restricted(uc):  # A(u) for each row u of uc, (P, N, m)
+        return np.matmul(uc, flat).reshape(-1, m, n).transpose(0, 2, 1)
 
-    best_min = np.inf
-    best_max = -np.inf
-    arg_min = arg_max = (0, 0)
-    chunk = max(1, int(4_000_000 // max(1, xs.shape[0])))
-    for start in range(0, ys.shape[0], chunk):
-        yc = ys[start:start + chunk]
-        yy = (yc[:, :, None] * yc[:, None, :]).reshape(yc.shape[0], f * f)
-        r2 = left @ yy.T  # (a, c)
-        np.clip(r2, 0.0, None, out=r2)
-        flat_min = int(np.argmin(r2))
-        flat_max = int(np.argmax(r2))
-        if r2.flat[flat_min] < best_min:
-            best_min = float(r2.flat[flat_min])
-            a, c = np.unravel_index(flat_min, r2.shape)
-            arg_min = (int(a), start + int(c))
-        if r2.flat[flat_max] > best_max:
-            best_max = float(r2.flat[flat_max])
-            a, c = np.unravel_index(flat_max, r2.shape)
-            arg_max = (int(a), start + int(c))
+    def squares(uc):  # ||T(u, v)||^2 for each row u of uc and v of vs
+        uu = (uc[:, :, None] * uc[:, None, :]).reshape(len(uc), k * k)
+        return (uu @ gram) @ vv.T
 
-    wit_min = (_embed(xs[arg_min[0]], cone_x), _embed(ys[arg_min[1]], cone_y))
-    wit_max = (_embed(xs[arg_max[0]], cone_x), _embed(ys[arg_max[1]], cone_y))
+    best_lo = np.inf
+    best_hi = -np.inf
+    chunk = max(1, 4_000_000 // per_point)
+    for start in range(0, len(us), chunk):
+        uc = us[start:start + chunk]
+        if exact:
+            a = restricted(uc)
+            # the singular value of a one-column A(u) is its norm
+            sv = np.linalg.svd(a, compute_uv=False) if m > 1 else _norms(a[:, :, 0])[:, None]
+            lo, hi = sv[:, -1], sv[:, 0]
+        else:
+            r2 = squares(uc)
+            lo, hi = (np.sqrt(np.clip(ext(r2, axis=1), 0.0, None)) for ext in (np.min, np.max))
+        i_lo, i_hi = int(np.argmin(lo)), int(np.argmax(hi))
+        if lo[i_lo] < best_lo:
+            best_lo, arg_lo = float(lo[i_lo]), start + i_lo
+        if hi[i_hi] > best_hi:
+            best_hi, arg_hi = float(hi[i_hi]), start + i_hi
+
+    def witness(i, use_max):
+        u = us[i]
+        if exact:
+            v = np.linalg.svd(restricted(u[None])[0], full_matrices=False).Vh[0 if use_max else -1]
+        else:
+            r2 = squares(u[None])[0]
+            v = vs[int(np.argmax(r2) if use_max else np.argmin(r2))]
+        pair = (_embed(v, inner), _embed(u, outer))
+        return pair if flip else pair[::-1]
+
     return RnmpEstimate(
         support_pair=(cone_x.support, cone_y.support),
         cone_kinds=(cone_x.kind, cone_y.kind),
-        alpha_est=float(np.sqrt(best_min)),
-        beta_est=float(np.sqrt(best_max)),
-        alpha_witness=wit_min,
-        beta_witness=wit_max,
+        alpha_est=best_lo,
+        beta_est=best_hi,
+        alpha_witness=witness(arg_lo, False),
+        beta_witness=witness(arg_hi, True),
         method="grid",
         restarts=grid_per_dim,
         tol=1e-6,
+        bracket={"alpha_lower": max(0.0, best_lo - slack), "alpha_upper": best_lo,
+                 "beta_lower": best_hi, "beta_upper": best_hi + slack,
+                 "covering_radius": rho, "outer_points": len(us)},
     )

@@ -44,6 +44,49 @@ def test_json_text_float_rendering():
         json_text(object())
 
 
+def recursive_json_text(obj) -> str:
+    """The serializer as it was: one recursive call per value."""
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isinf(x) or math.isnan(x):
+            raise ValueError("non-finite float in output payload")
+        return format(x, ".17g")
+    if isinstance(obj, dict):
+        return "{" + ", ".join(json.dumps(str(k)) + ": " + recursive_json_text(v)
+                               for k, v in sorted(obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(recursive_json_text(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return recursive_json_text(obj.tolist())
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_json_text_matches_recursive_serializer_bytes():
+    rng = np.random.default_rng(8)
+    floats = rng.standard_normal(50) * np.exp(rng.uniform(-300, 300, 50))
+    docs = [
+        [], (), {}, [[]], [{}], 0.0, -0.0, [0.0, -0.0], 5e-324, [5e-324, -2.2e-308, 1e308],
+        floats, floats.tolist(), floats.reshape(5, 10), np.arange(7), np.arange(7).tolist(),
+        [2 ** 70, -3, 0], np.array(3.5), np.array([True, False]), [True, 1, 1.0],
+        [np.float64(0.1), np.int64(-4), np.bool_(True), np.float32(0.5)],
+        [1, 2.5], [1.5, "x", None], ("a", "é\n\"q\""),
+        {"b": {"z": [1.0, 2.0], "a": np.float64(-0.0)}, "a": [np.int64(2), 3],
+         "c": {"x": [{"y": np.arange(3.0)}]}, "é": "ü", "k": None, "t": np.bool_(False)},
+    ]
+    for doc in docs:
+        assert json_text(doc) == recursive_json_text(doc), doc
+    for bad in (np.inf, -np.inf, np.nan):
+        for doc in (bad, [1.0, bad], np.array([0.5, bad]), {"a": [bad]}, [np.float64(bad)]):
+            with pytest.raises(ValueError):
+                json_text(doc)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(command="juggle", parameters={}, seed=0, output_path="x")

@@ -5,7 +5,8 @@ from bilinear_cs import rnmp
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, apply_map_batch, dft_unitary)
-from bilinear_cs.rnmp import (_BATCH, GRID_GUARD, RnmpEstimate, _sphere_grid,
+from bilinear_cs.rnmp import (_BATCH, GRID_GUARD, RnmpEstimate,
+                              _covering_radius, _sphere_grid, _starts,
                               apply_restricted_batch, basis_images,
                               certify_exhaustive, estimate_alternating,
                               estimate_brute, norm_ratio)
@@ -212,6 +213,13 @@ def test_null_pair_all_three_estimators():
     assert brute.alpha_est >= grid.alpha_est - 1e-9
     assert brute.beta_est <= grid.beta_est + 1e-9
     assert alt.beta_est <= grid.beta_est + 1e-9
+    bracket = grid.to_json()
+    assert bracket["alpha_lower"] == 0.0 <= grid.alpha_est == bracket["alpha_upper"]
+    assert bracket["beta_lower"] == grid.beta_est < np.sqrt(2) + 1e-9 < bracket["beta_upper"]
+    for est in (brute, alt):
+        assert bracket["alpha_lower"] <= est.alpha_est
+        assert est.beta_est <= bracket["beta_upper"]
+    assert "alpha_lower" not in brute.to_json() and "outer_points" not in alt.to_json()
 
 
 def test_alternating_determinism_and_validation():
@@ -441,3 +449,98 @@ def test_estimate_json_round_trip_fields():
     assert d["method"] == "brute"
     assert d["support_x"] == {"n": 4, "indices": [0, 2]}
     assert len(d["alpha_witness_x"]) == 4
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class ZeroedStream:
+    """Generator stand-in: the normals of default_rng(child) with stream
+    positions lo..hi-1 set to 0.0, however the draws are split."""
+
+    def __init__(self, child, lo, hi):
+        self.rng = REAL_DEFAULT_RNG(child)
+        self.lo, self.hi, self.drawn = lo, hi, 0
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        flat = g.reshape(-1)
+        at = self.drawn + np.arange(flat.size)
+        flat[(at >= self.lo) & (at < self.hi)] = 0.0
+        self.drawn += flat.size
+        return g
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("kind_x, kind_y", [(SUBSPACE, SUBSPACE),
+                                            (POSITIVE_ORTHANT, SUBSPACE)])
+def test_degenerate_starts_are_redrawn_in_stream_order(monkeypatch, side, kind_x, kind_y):
+    cx = ConeSpec(support_from_indices([0, 2, 3], 8), kind_x)
+    cy = ConeSpec(support_from_indices([1, 5], 8), kind_y)
+    s, f = cx.dim, cy.dim
+    # restart 2 draws a zero x (or y) row first
+    lo, hi = (0, s) if side == "x" else (s, s + f)
+    monkeypatch.setattr(np.random, "default_rng", lambda child: ZeroedStream(
+        child, *((lo, hi) if child.spawn_key[-1] == 2 else (0, 0))))
+    x0, y0 = _starts(cx, cy, 5, seed=17)
+    for t, child in enumerate(np.random.SeedSequence(17).spawn(5)):
+        rng = np.random.default_rng(child)
+        assert np.array_equal(x0[t], unit_cone_coefficients(cx, 1, rng)[0])
+        assert np.array_equal(y0[t], unit_cone_coefficients(cy, 1, rng)[0])
+    # the redraw takes the next normals of the same stream
+    stream = REAL_DEFAULT_RNG(np.random.SeedSequence(17).spawn(5)[2]).standard_normal(s + 2 * f + s)
+    want_x, want_y = (stream[s:2 * s], stream[2 * s:2 * s + f]) if side == "x" else (
+        stream[:s], stream[s + f:s + 2 * f])
+    unit = {SUBSPACE: lambda v: v / np.linalg.norm(v),
+            POSITIVE_ORTHANT: lambda v: np.abs(v / np.linalg.norm(v))}
+    assert np.array_equal(x0[2], unit[kind_x](want_x))
+    assert np.array_equal(y0[2], unit[kind_y](want_y))
+
+
+def product_grid(spec, cone_x, cone_y, g):
+    """The certifier as it was: min and max of the ratio over the product
+    of both cones' angular grids, from the Gram matrix of the basis images."""
+    images = basis_images(spec, cone_x.support, cone_y.support)
+    xs = _sphere_grid(cone_x.dim, cone_x.kind, g)
+    ys = _sphere_grid(cone_y.dim, cone_y.kind, g)
+    s, f = cone_x.dim, cone_y.dim
+    gram = np.einsum("abn,cdn->acbd", images, images).reshape(s * s, f * f)
+    xx = (xs[:, :, None] * xs[:, None, :]).reshape(len(xs), s * s)
+    yy = (ys[:, :, None] * ys[:, None, :]).reshape(len(ys), f * f)
+    r2 = np.clip(xx @ gram @ yy.T, 0.0, None)
+    return float(np.sqrt(r2.min())), float(np.sqrt(r2.max()))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 13])
+@pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION, UNITARY_PRODUCT])
+@pytest.mark.parametrize("kind_x", CONE_KINDS)
+@pytest.mark.parametrize("kind_y", CONE_KINDS)
+def test_exact_inner_side_improves_on_product_grid(n, kind, kind_x, kind_y):
+    rng = np.random.default_rng(n)
+    spec = BilinearMapSpec(kind, n, unitary=dft_unitary(n) if kind == UNITARY_PRODUCT else None)
+    for s, f in ((1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2)):
+        i_set = support_from_indices(rng.choice(n, s, replace=False), n)
+        # pointwise images vanish off I ∩ J, so let J overlap I
+        j_set = support_from_indices(list(i_set.indices[:1]) + list(
+            rng.choice(n, f - 1, replace=False)), n)
+        cx, cy = ConeSpec(i_set, kind_x), ConeSpec(j_set, kind_y)
+        est = certify_exhaustive(spec, cx, cy, grid_per_dim=9)
+        alpha, beta = product_grid(spec, cx, cy, 9)
+        assert est.alpha_est <= alpha + 1e-12
+        assert est.beta_est >= beta - 1e-12
+        assert abs(norm_ratio(spec, *est.alpha_witness) - est.alpha_est) < 1e-9
+        assert abs(norm_ratio(spec, *est.beta_witness) - est.beta_est) < 1e-9
+
+
+@pytest.mark.parametrize("dim, g", [(dim, g) for dim in (1, 2, 3, 4)
+                                    for g in (3, 8, 17) if g ** (dim - 1) <= 5000])
+@pytest.mark.parametrize("cone_kind", CONE_KINDS)
+def test_covering_radius_covers_the_cone(dim, g, cone_kind):
+    cone = ConeSpec(Support(tuple(range(dim)), dim), cone_kind)
+    samples = unit_cone_coefficients(cone, 10_000, np.random.default_rng(dim * g))
+    dots = samples @ _sphere_grid(dim, cone_kind, g).T
+    if dim == 1:
+        dots = np.abs(dots)  # the ratio ignores the sign of a 1-dimensional argument
+    nearest = np.sqrt(np.clip(2.0 - 2.0 * dots.max(axis=1), 0.0, None))
+    rho = _covering_radius(dim, cone_kind, g)
+    assert nearest.max() <= rho + 1e-12
