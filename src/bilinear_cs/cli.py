@@ -149,32 +149,41 @@ def json_text(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+_Table = Mapping[str, Sequence]  # a CSV table: column name -> cells, in order
 
 
-def _write_csv(path: str, header_lines: Sequence[str], columns: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
+def _column_text(column: Sequence) -> list:
+    """One CSV column: floats at 17 significant digits, str otherwise."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return [format(v, ".17g") for v in column.tolist()]
+    return [format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
+            for v in column]
+
+
+def _write_csv(path: str, header_lines: Sequence[str], table: _Table) -> None:
+    """Write a table column by column, in one write."""
+    texts = [_column_text(c) for c in table.values()]
+    lines = [f"# {line}" for line in header_lines] + [",".join(table)]
+    lines += map(",".join, zip(*texts))
     with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _config_header(config: ExperimentConfig) -> list:
-    echo = config.echo()
-    lines = [f"version={__version__}"]
-    for key in sorted(echo):
-        value = echo[key]
-        if isinstance(value, dict):
-            lines.append(f"{key}={json_text(value)}")
-        else:
-            lines.append(f"{key}={value}")
-    return lines
+    return [f"version={__version__}"] + [
+        f"{key}={json_text(value) if isinstance(value, dict) else value}"
+        for key, value in sorted(config.echo().items())]
+
+
+def _distortion_table(report: DistortionReport) -> _Table:
+    return {"sample_index": range(report.abs_distortions.size),
+            "abs_distortion": report.abs_distortions}
+
+
+def _bounds_table(reports: Sequence[BoundReport]) -> _Table:
+    return {"M": [b.m for b in reports],
+            "raw_bound": [b.success_probability_lower for b in reports],
+            "clamped_bound": [b.success_probability_clamped for b in reports]}
 
 
 def emit_plot_data(report, output_path: str) -> None:
@@ -185,20 +194,15 @@ def emit_plot_data(report, output_path: str) -> None:
     clamped_bound).
     """
     if isinstance(report, DistortionReport):
-        rows = [(i, d) for i, d in enumerate(report.abs_distortions)]
-        _write_csv(output_path, [], ("sample_index", "abs_distortion"), rows)
-        return
-    if isinstance(report, PhaseTransitionResult):
-        rows = [(c.m, c.rate) for c in report.cells]
-        _write_csv(output_path, [], ("M", "rate"), rows)
-        return
-    if isinstance(report, Sequence) and report and \
+        table = _distortion_table(report)
+    elif isinstance(report, PhaseTransitionResult):
+        table = {"M": [c.m for c in report.cells], "rate": [c.rate for c in report.cells]}
+    elif isinstance(report, Sequence) and report and \
             all(isinstance(b, BoundReport) for b in report):
-        rows = [(b.m, b.success_probability_lower, b.success_probability_clamped)
-                for b in report]
-        _write_csv(output_path, [], ("M", "raw_bound", "clamped_bound"), rows)
-        return
-    raise TypeError(f"no plot schema for {type(report).__name__}")
+        table = _bounds_table(report)
+    else:
+        raise TypeError(f"no plot schema for {type(report).__name__}")
+    _write_csv(output_path, [], table)
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +267,26 @@ def _cone(params: dict, index_key: str, kind_key: str, n: int) -> ConeSpec:
         raise ConfigError(index_key, str(exc))
 
 
+def _map_and_cones(params: dict) -> Tuple[int, BilinearMapSpec, ConeSpec, ConeSpec]:
+    n = _take(params, "n", int, required=True)
+    return (n, _map_spec(params, n), _cone(params, "i", "cone_x", n),
+            _cone(params, "j", "cone_y", n))
+
+
 def _two_seeds(seed: int) -> Tuple[int, int]:
     a, b = np.random.SeedSequence(seed).generate_state(2)
     return int(a), int(b)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (json payload, csv writer or None)
-
-_CsvWriter = Optional[Callable[[str, Sequence[str]], None]]
+# command handlers: each returns (json payload, csv table or None)
 
 
-def _run_rnmp(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
+def _run_rnmp(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     p = dict(config.parameters)
     _check_unknown(p, ("map", "n", "i", "j", "cone_x", "cone_y", "method",
                        "samples", "restarts", "grid_per_dim"))
-    n = _take(p, "n", int, required=True)
-    spec = _map_spec(p, n)
-    cone_x = _cone(p, "i", "cone_x", n)
-    cone_y = _cone(p, "j", "cone_y", n)
+    _, spec, cone_x, cone_y = _map_and_cones(p)
     method = _take(p, "method", str, default="grid")
     if method == "brute":
         est = estimate_brute(spec, cone_x, cone_y,
@@ -299,7 +304,7 @@ def _run_rnmp(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     return est.to_json(), None
 
 
-def _run_bounds(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
+def _run_bounds(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     p = dict(config.parameters)
     _check_unknown(p, ("case", "S", "F", "delta", "M", "m_grid", "N",
                        "alpha", "beta", "p_target", "solve_samples"))
@@ -310,8 +315,6 @@ def _run_bounds(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     f = _take(p, "F", int, required=True)
     delta = _take(p, "delta", float, required=True)
     n = _take(p, "N", int)
-    reports = None
-
     m_grid = _take(p, "m_grid", list)
     if m_grid is not None:
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in m_grid):
@@ -320,9 +323,8 @@ def _run_bounds(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
         payload: dict = {"reports": [r.to_json() for r in reports]}
     else:
         m = _take(p, "M", int, required=True)
-        report = compose_bound_report(case, s, f, delta, m, n)
-        reports = [report]
-        payload = report.to_json()
+        reports = [compose_bound_report(case, s, f, delta, m, n)]
+        payload = reports[0].to_json()
 
     for key in ("alpha", "beta"):
         claimed = _take(p, key, float)
@@ -339,14 +341,7 @@ def _run_bounds(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
         payload["sample_count"] = union_bound_samples(
             n, s, f, delta, p_target, case).to_json()
 
-    the_reports = reports
-
-    def write_csv(path: str, header: Sequence[str]) -> None:
-        rows = [(b.m, b.success_probability_lower, b.success_probability_clamped)
-                for b in the_reports]
-        _write_csv(path, header, ("M", "raw_bound", "clamped_bound"), rows)
-
-    return payload, write_csv
+    return payload, _bounds_table(reports)
 
 
 def _ensemble(p: dict, n: int, m_key: str, seed: int) -> MeasurementEnsemble:
@@ -360,29 +355,21 @@ def _ensemble(p: dict, n: int, m_key: str, seed: int) -> MeasurementEnsemble:
         raise ConfigError(m_key, str(exc))
 
 
-def _run_rip_mc(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
+def _run_rip_mc(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     p = dict(config.parameters)
     _check_unknown(p, ("map", "n", "i", "j", "cone_x", "cone_y", "ensemble",
                        "M", "n_samples", "delta"))
-    n = _take(p, "n", int, required=True)
-    spec = _map_spec(p, n)
-    cone_x = _cone(p, "i", "cone_x", n)
-    cone_y = _cone(p, "j", "cone_y", n)
+    n, spec, cone_x, cone_y = _map_and_cones(p)
     delta = _take(p, "delta", float, required=True)
     n_samples = _count(p, "n_samples", 10_000, 1)
     e_seed, s_seed = _two_seeds(config.seed)
     ensemble = _ensemble(p, n, "M", e_seed)
     report = rip_monte_carlo(spec, cone_x, cone_y, ensemble, n_samples,
                              delta, s_seed)
-
-    def write_csv(path: str, header: Sequence[str]) -> None:
-        rows = [(i, d) for i, d in enumerate(report.abs_distortions)]
-        _write_csv(path, header, ("sample_index", "abs_distortion"), rows)
-
-    return report.to_json(), write_csv
+    return report.to_json(), _distortion_table(report)
 
 
-def _run_concentration(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
+def _run_concentration(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     p = dict(config.parameters)
     _check_unknown(p, ("n", "M", "ensemble", "trials", "delta", "r"))
     n = _take(p, "n", int, required=True)
@@ -402,14 +389,11 @@ def _run_concentration(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     return result.to_json(), None
 
 
-def _run_recover(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
+def _run_recover(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     p = dict(config.parameters)
     _check_unknown(p, ("map", "n", "i", "j", "cone_x", "cone_y", "ensemble",
                        "M", "noise_sigma", "algorithm", "k", "max_iters", "tol"))
-    n = _take(p, "n", int, required=True)
-    spec = _map_spec(p, n)
-    cone_x = _cone(p, "i", "cone_x", n)
-    cone_y = _cone(p, "j", "cone_y", n)
+    n, spec, cone_x, cone_y = _map_and_cones(p)
     model = BilinearModel(spec, cone_x, cone_y)
     algorithm = _take(p, "algorithm", str, default="iht")
     if algorithm not in ("iht", "oracle"):
@@ -428,7 +412,7 @@ def _run_recover(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     return result.to_json(), None
 
 
-def _run_phase(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
+def _run_phase(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     p = dict(config.parameters)
     _check_unknown(p, ("map", "n", "S", "F", "cone_kind", "m_grid", "trials",
                        "delta_success"))
@@ -446,18 +430,15 @@ def _run_phase(config: ExperimentConfig) -> Tuple[dict, _CsvWriter]:
     delta_success = _take(p, "delta_success", float, default=1e-3)
     result = phase_transition(spec, n, s, f, cone_kind, m_grid, trials,
                               delta_success=delta_success, seed=config.seed)
-
-    def write_csv(path: str, header: Sequence[str]) -> None:
-        rows = [(result.n, result.s, result.f, result.cone_kind, c.m,
-                 c.trials, c.successes, c.rate) for c in result.cells]
-        _write_csv(path, header,
-                   ("N", "S", "F", "cone_kind", "M", "trials", "successes", "rate"),
-                   rows)
-
-    return result.to_json(), write_csv
+    cells = result.cells
+    return result.to_json(), {
+        "N": [result.n] * len(cells), "S": [result.s] * len(cells),
+        "F": [result.f] * len(cells), "cone_kind": [result.cone_kind] * len(cells),
+        "M": [c.m for c in cells], "trials": [c.trials for c in cells],
+        "successes": [c.successes for c in cells], "rate": [c.rate for c in cells]}
 
 
-_HANDLERS: Dict[str, Callable[[ExperimentConfig], Tuple[dict, _CsvWriter]]] = {
+_HANDLERS: Dict[str, Callable[[ExperimentConfig], Tuple[dict, Optional[_Table]]]] = {
     "rnmp": _run_rnmp,
     "bounds": _run_bounds,
     "rip-mc": _run_rip_mc,
@@ -470,12 +451,12 @@ _HANDLERS: Dict[str, Callable[[ExperimentConfig], Tuple[dict, _CsvWriter]]] = {
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
-        payload, csv_writer = _HANDLERS[config.command](config)
+        payload, table = _HANDLERS[config.command](config)
         if config.format == "csv":
-            if csv_writer is None:
+            if table is None:
                 raise ConfigError("format",
                                   f"command {config.command!r} has no CSV schema; use json")
-            csv_writer(config.output_path, _config_header(config))
+            _write_csv(config.output_path, _config_header(config), table)
         else:
             document = {"version": __version__, "config": config.echo(),
                         "result": payload}

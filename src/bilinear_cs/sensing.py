@@ -42,6 +42,9 @@ _DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 # rows per block of _row_norms
 _NORM_ROWS = 4096
 
+# row k: the two signs of a raw word whose bits 31 and 63 spell k = b31 + 2 b63
+_SIGN_PAIRS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
@@ -76,6 +79,7 @@ class MeasurementEnsemble:
 def _draw(kind: str, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     if kind == GAUSSIAN:
         return rng.standard_normal((rows, cols)) / math.sqrt(rows)
+    # not random_raw: a shared rng may hold a buffered 32-bit half, which integers uses first
     signs = rng.integers(0, 2, size=(rows, cols)).astype(np.float64)
     return (2.0 * signs - 1.0) / math.sqrt(rows)
 
@@ -286,7 +290,8 @@ def concentration_test(r: np.ndarray,
     entries, Phi r ~ N(0, |r|^2/M I_M) exactly, so |Phi r| / |r| has
     the law of |g| / sqrt(M) for g ~ N(0, I_M), and a trial costs M
     normals instead of M*N.  Rademacher Phi r has no such closed form,
-    so those trials still draw the full M x N sign matrix.
+    so those trials draw the full M x N sign matrix, bit for bit as
+    `integers(0, 2)` would (a test pins this), from raw SFC64 words.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -306,16 +311,30 @@ def concentration_test(r: np.ndarray,
     ratios = np.empty(trials)
     # hot loop: SFC64 streams and unscaled draws (the 1/sqrt(M) factor
     # moves into the final norm); gaussian trials draw only the M
-    # entries of sqrt(M) Phi r / |r| (see the docstring), rademacher
-    # trials the whole sign matrix
+    # entries of sqrt(M) Phi r / |r| (see the docstring).  For int64
+    # output `integers(0, 2)` keeps bit 31 of each 32-bit half of a raw
+    # word, low half first, and a fresh SFC64 holds no buffered half, so
+    # rademacher trials code a word's two bits as 0..3 and take its sign
+    # pair into one reused M x N buffer ("clip" only skips the range check)
     root_m = math.sqrt(m)
     scale = root_m * norm_r
-    for t, child in enumerate(children):
-        gen = np.random.Generator(np.random.SFC64(child))
-        if ensemble_template.kind == GAUSSIAN:
+    if ensemble_template.kind == GAUSSIAN:
+        for t, child in enumerate(children):
+            gen = np.random.Generator(np.random.SFC64(child))
             ratios[t] = np.linalg.norm(gen.standard_normal(m)) / root_m
-        else:
-            signs = 2.0 * gen.integers(0, 2, size=(m, cols)) - 1.0
+    else:
+        words = (m * cols + 1) // 2
+        code, low = np.empty(words, dtype=np.uint64), np.empty(words, dtype=np.uint64)
+        pairs = np.empty((words, 2))
+        signs = pairs.reshape(-1)[:m * cols].reshape(m, cols)
+        for t, child in enumerate(children):
+            raw = np.random.SFC64(child).random_raw(words)
+            np.right_shift(raw, 62, out=code)
+            np.bitwise_and(code, 2, out=code)
+            np.right_shift(raw, 31, out=low)
+            np.bitwise_and(low, 1, out=low)
+            np.bitwise_or(code, low, out=code)
+            np.take(_SIGN_PAIRS, code, axis=0, out=pairs, mode="clip")
             ratios[t] = np.linalg.norm(signs @ r) / scale
 
     violations = int(np.sum(np.abs(ratios - 1.0) > delta / 2.0))

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bilinear_cs import rnmp
-from bilinear_cs.bounds import union_bound_samples
+from bilinear_cs import __version__, cli, rnmp
+from bilinear_cs.bounds import compose_bound_report, union_bound_samples
 from bilinear_cs.cli import (ConfigError, ExperimentConfig, emit_plot_data,
                              json_text, load_config, main, run)
 from bilinear_cs.recovery import PhaseCell, PhaseTransitionResult
@@ -492,3 +492,120 @@ def test_run_accepts_programmatic_config(tmp_path):
     doc2 = json.loads((tmp_path / "prog2.json").read_text())
     assert doc["result"]["success_probability_lower"] == \
         doc2["result"]["success_probability_lower"]
+
+
+# the row-by-row CSV writer that the column writer replaced, kept as the
+# byte reference: one _cell call per value and one write per row
+
+
+def _old_cell(v):
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def _old_write_csv(path, header_lines, columns, rows):
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_old_cell(v) for v in row) + "\n")
+
+
+def _old_config_header(config):
+    echo = config.echo()
+    lines = [f"version={__version__}"]
+    for key in sorted(echo):
+        value = echo[key]
+        if isinstance(value, dict):
+            lines.append(f"{key}={json_text(value)}")
+        else:
+            lines.append(f"{key}={value}")
+    return lines
+
+
+@pytest.mark.parametrize("header", [[], ["version=0", "parameters={\"a\": 1}", "seed=3"]])
+def test_write_csv_matches_row_writer_bytes(tmp_path, header):
+    table = {
+        "f": np.array([-0.0, 5e-324, 1e300, 1 / 3]),
+        "i": np.array([7, -1, 0, 2 ** 62], dtype=np.int64),
+        "b": np.array([True, False, True, False]),
+        "mixed": [np.int64(5), True, "cone", np.float32(0.1)],
+        "py": [-0.0, 5e-324, 1e300, np.float64(2.5)],
+        "s": ["a", "b c", "", "subspace"],
+    }
+    cli._write_csv(str(tmp_path / "new.csv"), header, table)
+    _old_write_csv(str(tmp_path / "old.csv"), header, tuple(table), list(zip(*table.values())))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a table without rows still writes its header and column names
+    cli._write_csv(str(tmp_path / "new0.csv"), header, {"M": [], "rate": np.empty(0)})
+    _old_write_csv(str(tmp_path / "old0.csv"), header, ("M", "rate"), [])
+    assert (tmp_path / "new0.csv").read_bytes() == (tmp_path / "old0.csv").read_bytes()
+
+
+def _recording(monkeypatch, name, seen):
+    original = getattr(cli, name)
+
+    def record(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(cli, name, record)
+
+
+@pytest.mark.parametrize("command,parameters", [
+    ("bounds", {"case": "pointwise", "S": 3, "F": 2, "delta": 0.5,
+                "m_grid": [10, 200, 5000], "N": 64}),
+    ("rip-mc", {"map": "circular_convolution", "n": 32, "i": [0, 5, 9], "j": [1, 2],
+                "cone_x": "positive_orthant", "ensemble": "rademacher", "M": 12,
+                "n_samples": 300, "delta": 0.3}),
+    ("phase", {"map": "pointwise", "n": 16, "S": 3, "F": 3, "m_grid": [4, 8, 16],
+               "trials": 5}),
+])
+def test_csv_commands_match_row_writer_bytes(tmp_path, monkeypatch, command, parameters):
+    seen = []
+    recorder = {"bounds": "compose_bound_report", "rip-mc": "rip_monte_carlo",
+                "phase": "phase_transition"}[command]
+    _recording(monkeypatch, recorder, seen)
+    path = write_config(tmp_path, "cfg.json", {
+        "schema": 1, "command": command, "parameters": parameters, "seed": 4,
+        "output": str(tmp_path / "new.csv"), "format": "csv"})
+    assert main(["--config", path]) == 0
+    if command == "bounds":
+        columns = ("M", "raw_bound", "clamped_bound")
+        rows = [(b.m, b.success_probability_lower, b.success_probability_clamped)
+                for b in seen]
+    elif command == "rip-mc":
+        columns = ("sample_index", "abs_distortion")
+        rows = [(i, d) for i, d in enumerate(seen[0].abs_distortions)]
+    else:
+        r = seen[0]
+        columns = ("N", "S", "F", "cone_kind", "M", "trials", "successes", "rate")
+        rows = [(r.n, r.s, r.f, r.cone_kind, c.m, c.trials, c.successes, c.rate)
+                for c in r.cells]
+    _old_write_csv(str(tmp_path / "old.csv"), _old_config_header(load_config(path)),
+                   columns, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_emit_plot_data_matches_row_writer_bytes(tmp_path):
+    dist = DistortionReport(n_samples=4, skipped=0, max_abs_distortion=1e300,
+                            quantiles=((0.5, 0.1),), exceed_count=1, delta=0.5,
+                            m=4, n=8, sample_seed=0, ensemble_seed=None,
+                            abs_distortions=np.array([0.0, 5e-324, 1e300, 1 / 3]))
+    phase = PhaseTransitionResult(
+        n=16, s=2, f=2, cone_kind="subspace", map_kind="circular_convolution",
+        trials=3, delta_success=1e-3, seed=0,
+        cells=(PhaseCell(4, 3, 0), PhaseCell(8, 3, 1), PhaseCell(16, 3, 3)),
+        reference_additive=1.0, reference_multiplicative=2.0)
+    bounds = [compose_bound_report("tensor_conv", 3, 3, 0.5, m) for m in (10, 100, 2000)]
+    cases = [
+        (dist, ("sample_index", "abs_distortion"), list(enumerate(dist.abs_distortions))),
+        (phase, ("M", "rate"), [(c.m, c.rate) for c in phase.cells]),
+        (bounds, ("M", "raw_bound", "clamped_bound"),
+         [(b.m, b.success_probability_lower, b.success_probability_clamped) for b in bounds]),
+    ]
+    for report, columns, rows in cases:
+        emit_plot_data(report, str(tmp_path / "new.csv"))
+        _old_write_csv(str(tmp_path / "old.csv"), [], columns, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -55,3 +55,21 @@ def test_readme_rnmp_config(tmp_path, monkeypatch):
     result = json.loads(Path(config["output"]).read_text())["result"]
     assert result["method"] == "grid" and result["outer_points"] == 64
     assert_null_pair(result["alpha_est"], result["beta_est"], result)
+
+
+def test_readme_phase_csv_config(tmp_path, monkeypatch):
+    script = block("sh", '"command": "phase"')
+    config = json.loads(re.search(r"<<'EOF'\n(.*?)\nEOF", script, re.S).group(1))
+    assert config["format"] == "csv"
+    monkeypatch.chdir(tmp_path)
+    Path(config["output"]).parent.mkdir(parents=True)
+    Path("phase.json").write_text(json.dumps(config))
+    assert main(["--config", "phase.json"]) == 0
+    lines = [ln for ln in Path(config["output"]).read_text().splitlines()
+             if not ln.startswith("# ")]
+    assert lines[0] == "N,S,F,cone_kind,M,trials,successes,rate"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [int(row[4]) for row in rows] == [4, 8, 16, 32]
+    # the README's claim: the success rate climbs toward 1 as M approaches N
+    rates = [float(row[7]) for row in rows]
+    assert rates == sorted(rates) and rates[-1] > rates[0]

@@ -316,6 +316,25 @@ def test_concentration_empirical_under_theory_across_seeds():
     assert emp <= theory
 
 
+@pytest.mark.parametrize("n,m", [(128, 32), (128, 64), (256, 64), (256, 128),
+                                 (200, 200), (7, 3), (201, 199), (1, 1)])
+def test_concentration_rademacher_ratios_match_integers_draws(n, m):
+    # each trial's signs come from raw SFC64 words; they must be the very
+    # bits Generator.integers(0, 2) gives on the trial's stream, with odd
+    # M*N (a dropped high half) included; this also guards against a
+    # numpy release that lays out the bits of integers differently
+    r = np.random.default_rng(n * m).standard_normal(n)
+    e = MeasurementEnsemble(RADEMACHER, m, n, 1000 + m)
+    got = concentration_test(r, e, trials=100, delta=0.5).ratios
+    scale = math.sqrt(m) * float(np.linalg.norm(r))
+    ref = []
+    for child in np.random.SeedSequence(e.seed).spawn(100):
+        gen = np.random.Generator(np.random.SFC64(child))
+        signs = 2.0 * gen.integers(0, 2, size=(m, n)) - 1.0
+        ref.append(np.linalg.norm(signs @ r) / scale)
+    assert np.array_equal(got, np.array(ref))
+
+
 def _chi2_even_sf(x, k):
     # P(chi^2_k > x) for even k: the Poisson(x/2) mass below k/2
     h = x / 2.0
