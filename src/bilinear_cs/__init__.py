@@ -13,9 +13,7 @@ from .bilinear_ops import (
     BilinearMapSpec,
     NormBoundCheck,
     apply_map,
-    check_multiplicativity,
     check_positive_cone_bounds,
-    check_upper_bound_unitary,
     dft_unitary,
 )
 from .rnmp import RnmpEstimate, certify_exhaustive, estimate_alternating, estimate_brute
@@ -35,7 +33,6 @@ from .sensing import (
     DistortionReport,
     MeasurementEnsemble,
     concentration_test,
-    conjecture_probe,
     distortion,
     generate,
     rip_monte_carlo,

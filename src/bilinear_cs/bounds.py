@@ -112,13 +112,13 @@ def _case_setup(case: str, s: int, f: int, delta: float):
     return beta, d, delta / d, cover_kind, (s, f)
 
 
-def _check_model_range(s: int, f: int, delta: float, m: int):
+def _check_model_range(s: int, f: int, delta: float, n: Optional[int]):
     if s < 2 or f < 2:
         raise ValueError(f"the embedding guarantee needs S, F >= 2, got S={s}, F={f}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    if n is not None and s * f > n:
+        raise ValueError(f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
 
 
 def application_probability(case: str, s: int, f: int, delta: float, m: int) -> float:
@@ -178,9 +178,9 @@ class BoundReport:
 def compose_bound_report(case: str, s: int, f: int, delta: float, m: int,
                          n: Optional[int] = None) -> BoundReport:
     """Build the full BoundReport for one of the named model classes."""
-    _check_model_range(s, f, delta, m)
-    if n is not None and s * f > n:
-        raise ValueError(f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
+    _check_model_range(s, f, delta, n)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     beta, d, eps, cover_kind, dims = _case_setup(case, s, f, delta)
     cov_x = covering_bound(cover_kind, dims[0], eps)
     cov_y = 1.0 if dims[1] is None else covering_bound(cover_kind, dims[1], eps)
@@ -251,12 +251,7 @@ def union_bound_samples(n: int, s: int, f: int, delta: float, p_target: float,
     p_target = 1 is admitted (degenerate: only the union-bound mass has
     to be beaten).
     """
-    if s < 2 or f < 2:
-        raise ValueError(f"need S, F >= 2, got S={s}, F={f}")
-    if s * f > n:
-        raise ValueError(f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_model_range(s, f, delta, n)
     if not 0.0 < p_target <= 1.0:
         raise ValueError(f"p_target must lie in (0, 1], got {p_target}")
 

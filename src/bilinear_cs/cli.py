@@ -209,6 +209,10 @@ def emit_plot_data(report, output_path: str) -> None:
 # parameter plumbing
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _take(params: dict, name: str, kind, default=None, required: bool = False):
     if name not in params:
         if required:
@@ -216,7 +220,7 @@ def _take(params: dict, name: str, kind, default=None, required: bool = False):
         return default
     value = params[name]
     if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ConfigError(name, f"must be an integer, got {value!r}")
         return value
     if kind is float:
@@ -241,6 +245,13 @@ def _count(params: dict, name: str, default: int, least: int) -> int:
     return value
 
 
+def _int_list(params: dict, name: str, required: bool = False) -> Optional[list]:
+    value = _take(params, name, list, required=required)
+    if value is not None and not (value and all(map(_is_int, value))):
+        raise ConfigError(name, "must be a non-empty list of integers")
+    return value
+
+
 def _check_unknown(params: dict, allowed: Sequence[str]) -> None:
     for key in params:
         if key not in allowed:
@@ -254,13 +265,16 @@ def _map_spec(params: dict, n: int) -> BilinearMapSpec:
     return BilinearMapSpec(_CLI_MAPS[name], n)
 
 
-def _cone(params: dict, index_key: str, kind_key: str, n: int) -> ConeSpec:
-    indices = _take(params, index_key, list, required=True)
-    if not all(isinstance(i, int) and not isinstance(i, bool) for i in indices):
-        raise ConfigError(index_key, "must be a list of integers")
-    kind = _take(params, kind_key, str, default=SUBSPACE)
+def _cone_kind(params: dict, key: str) -> str:
+    kind = _take(params, key, str, default=SUBSPACE)
     if kind not in CONE_KINDS:
-        raise ConfigError(kind_key, f"must be one of {CONE_KINDS}, got {kind!r}")
+        raise ConfigError(key, f"must be one of {CONE_KINDS}, got {kind!r}")
+    return kind
+
+
+def _cone(params: dict, index_key: str, kind_key: str, n: int) -> ConeSpec:
+    indices = _int_list(params, index_key, required=True)
+    kind = _cone_kind(params, kind_key)
     try:
         return ConeSpec(support_from_indices(indices, n), kind)
     except ValueError as exc:
@@ -315,10 +329,8 @@ def _run_bounds(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     f = _take(p, "F", int, required=True)
     delta = _take(p, "delta", float, required=True)
     n = _take(p, "N", int)
-    m_grid = _take(p, "m_grid", list)
+    m_grid = _int_list(p, "m_grid")
     if m_grid is not None:
-        if not all(isinstance(m, int) and not isinstance(m, bool) for m in m_grid):
-            raise ConfigError("m_grid", "must be a list of integers")
         reports = [compose_bound_report(case, s, f, delta, m, n) for m in m_grid]
         payload: dict = {"reports": [r.to_json() for r in reports]}
     else:
@@ -407,7 +419,7 @@ def _run_recover(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     else:
         k = _take(p, "k", int, default=model_sparsity(model))
         result = iht(problem, k,
-                     max_iters=_take(p, "max_iters", int, default=500),
+                     max_iters=_count(p, "max_iters", 500, 1),
                      tol=_take(p, "tol", float, default=1e-8))
     return result.to_json(), None
 
@@ -420,12 +432,8 @@ def _run_phase(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
     spec = _map_spec(p, n)
     s = _take(p, "S", int, required=True)
     f = _take(p, "F", int, required=True)
-    cone_kind = _take(p, "cone_kind", str, default=SUBSPACE)
-    if cone_kind not in CONE_KINDS:
-        raise ConfigError("cone_kind", f"must be one of {CONE_KINDS}, got {cone_kind!r}")
-    m_grid = _take(p, "m_grid", list, required=True)
-    if not all(isinstance(m, int) and not isinstance(m, bool) for m in m_grid):
-        raise ConfigError("m_grid", "must be a list of integers")
+    cone_kind = _cone_kind(p, "cone_kind")
+    m_grid = _int_list(p, "m_grid", required=True)
     trials = _take(p, "trials", int, required=True)
     delta_success = _take(p, "delta_success", float, default=1e-3)
     result = phase_transition(spec, n, s, f, cone_kind, m_grid, trials,

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bilinear_ops import BilinearMapSpec, apply_map_batch
+from .bilinear_ops import BilinearMapSpec
 from .bounds import c0
 from .rnmp import apply_restricted_batch, basis_images
-from .sparse_model import (SUBSPACE, ConeSpec, row_norms, unit_cone_coefficients,
-                           unit_cone_directions)
+from .sparse_model import ConeSpec, row_norms, unit_cone_coefficients
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -37,7 +36,8 @@ DEGENERATE_NORM = 1e-12
 # dense Phi guard: M*N entries materialized
 _SIZE_GUARD = 10 ** 7
 
-_DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+# levels of the |distortion| quantiles a DistortionReport carries
+QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
 # rows per block of _row_norms
 _NORM_ROWS = 4096
@@ -167,9 +167,7 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
                     ensemble: Union[MeasurementEnsemble, np.ndarray],
                     n_samples: int,
                     delta: float,
-                    seed: int,
-                    extra_pairs: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
-                    quantile_levels: Sequence[float] = _DEFAULT_QUANTILES) -> DistortionReport:
+                    seed: int) -> DistortionReport:
     """Sample unit cone pairs, push them through the map, and record
     |distortion| of the images under one fixed matrix realization.
 
@@ -180,15 +178,14 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     gives the bits it gives on a C-ordered copy; a test pins this).
 
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
-    (e.g. orthonormalized rows for the isometry control).  `extra_pairs`
-    are deterministic (x, y) pairs evaluated before the random draws;
-    meant for adversarial seeding with known low-norm directions, since
-    uniform sampling alone misses near-null images.  Outputs with norm
-    below 1e-12 are skipped and counted; if everything degenerates
+    (e.g. orthonormalized rows for the isometry control).  Outputs with
+    norm below 1e-12 are skipped and counted; if everything degenerates
     that's an error, not an empty report.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if isinstance(ensemble, MeasurementEnsemble):
         if ensemble.cols != map_spec.ambient_dim:
             raise ValueError(f"ensemble cols {ensemble.cols} != ambient dim "
@@ -206,10 +203,6 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     xc = unit_cone_coefficients(cone_x, n_samples, np.random.default_rng(ss_x))
     yc = unit_cone_coefficients(cone_y, n_samples, np.random.default_rng(ss_y))
     zs = apply_restricted_batch(basis_images(map_spec, cone_x.support, cone_y.support), xc, yc)
-    if extra_pairs:
-        ex = np.vstack([np.asarray(p[0], dtype=np.float64) for p in extra_pairs])
-        ey = np.vstack([np.asarray(p[1], dtype=np.float64) for p in extra_pairs])
-        zs = np.vstack([apply_map_batch(map_spec, ex, ey), zs])
     norms = row_norms(zs)
     keep = norms >= DEGENERATE_NORM
     skipped = int(np.sum(~keep))
@@ -221,7 +214,7 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
         zs, norms = zs[keep], norms[keep]
     image_norms = _row_norms(zs @ phi.T)
     abs_dist = np.abs(image_norms / norms - 1.0)
-    qs = tuple((float(q), float(np.quantile(abs_dist, q))) for q in quantile_levels)
+    qs = tuple((float(q), float(np.quantile(abs_dist, q))) for q in QUANTILE_LEVELS)
     return DistortionReport(
         n_samples=int(abs_dist.size),
         skipped=skipped,
@@ -347,107 +340,4 @@ def concentration_test(r: np.ndarray,
         m=m,
         seed=ensemble_template.seed,
         ratios=ratios,
-    )
-
-
-@dataclass(frozen=True)
-class ConjectureProbe:
-    """Observed vs conjectured failure rate for the squared-norm
-    isometry event on subspace-pair images.  Observational only; the
-    conjectured form is evaluated for a caller-chosen constant d."""
-
-    empirical_rate: float
-    conjectured_rate: float
-    failures: int
-    evaluated: int
-    skipped: int
-    trials: int
-    delta: float
-    d: float
-    s: int
-    f: int
-    m: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "empirical_rate": self.empirical_rate,
-            "conjectured_rate": self.conjectured_rate,
-            "failures": self.failures,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-            "trials": self.trials,
-            "delta": self.delta,
-            "d": self.d,
-            "s": self.s,
-            "f": self.f,
-            "m": self.m,
-            "seed": self.seed,
-        }
-
-
-def conjecture_probe(map_spec: BilinearMapSpec,
-                     cone_x: ConeSpec,
-                     cone_y: ConeSpec,
-                     ensemble_template: MeasurementEnsemble,
-                     delta: float,
-                     trials: int,
-                     d: float = 12.0) -> ConjectureProbe:
-    """Record how often (1 - delta) |z|^2 <= |Phi z|^2 <= (1 + delta)
-    |z|^2 fails over fresh (Phi, z) pairs, z an image of a random
-    subspace pair sample, against 2 (d/delta)^(S+F) exp(-c0 M).
-
-    Restricted to subspace cones on purpose: the positive-cone cases
-    are already covered by the composed bounds in the bounds module.
-    This gathers evidence, it asserts nothing.
-    """
-    if cone_x.kind != SUBSPACE or cone_y.kind != SUBSPACE:
-        raise ValueError("the probe is defined for subspace cone pairs only")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if d <= 1.0:
-        raise ValueError(f"the conjectured constant needs d > 1, got {d}")
-    if ensemble_template.cols != map_spec.ambient_dim:
-        raise ValueError(f"ensemble cols {ensemble_template.cols} != ambient dim "
-                         f"{map_spec.ambient_dim}")
-
-    m = ensemble_template.rows
-    children = np.random.SeedSequence(ensemble_template.seed).spawn(trials)
-    failures = 0
-    evaluated = 0
-    skipped = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        phi = _draw(ensemble_template.kind, m, ensemble_template.cols, rng)
-        x = unit_cone_directions(cone_x, 1, rng)[0]
-        y = unit_cone_directions(cone_y, 1, rng)[0]
-        z = apply_map_batch(map_spec, x[None, :], y[None, :])[0]
-        nz2 = float(np.dot(z, z))
-        if nz2 < DEGENERATE_NORM ** 2:
-            skipped += 1
-            continue
-        evaluated += 1
-        pz = phi @ z
-        if abs(float(np.dot(pz, pz)) / nz2 - 1.0) > delta:
-            failures += 1
-    if evaluated == 0:
-        raise ValueError("all probe samples were degenerate; nothing to report")
-
-    s, f = cone_x.dim, cone_y.dim
-    conjectured = 2.0 * (d / delta) ** (s + f) * math.exp(-c0(delta) * m)
-    return ConjectureProbe(
-        empirical_rate=failures / evaluated,
-        conjectured_rate=conjectured,
-        failures=failures,
-        evaluated=evaluated,
-        skipped=skipped,
-        trials=trials,
-        delta=delta,
-        d=d,
-        s=s,
-        f=f,
-        m=m,
-        seed=ensemble_template.seed,
     )

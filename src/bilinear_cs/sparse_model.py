@@ -54,10 +54,6 @@ class Support:
     def to_json(self) -> dict:
         return {"n": self.ambient_dim, "indices": list(self.indices)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Support":
-        return Support(tuple(obj["indices"]), int(obj["n"]))
-
 
 @dataclass(frozen=True)
 class ConeSpec:
@@ -88,10 +84,6 @@ class ConeSpec:
             "indices": list(self.support.indices),
             "kind": self.kind,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ConeSpec":
-        return ConeSpec(Support(tuple(obj["indices"]), int(obj["n"])), obj["kind"])
 
 
 @dataclass(frozen=True)

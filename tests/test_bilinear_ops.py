@@ -4,11 +4,9 @@ import pytest
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       NormBoundCheck, apply_map,
-                                      apply_map_batch, check_multiplicativity,
-                                      check_positive_cone_bounds,
-                                      check_upper_bound_unitary, dft_unitary)
-from bilinear_cs.sparse_model import (POSITIVE_ORTHANT, ConeSpec, SparseVector,
-                                      Support, support_from_indices)
+                                      apply_map_batch, check_positive_cone_bounds,
+                                      dft_unitary)
+from bilinear_cs.sparse_model import SparseVector, Support, support_from_indices
 
 
 def naive_convolve(s, h):
@@ -146,8 +144,6 @@ def test_norm_bound_check_evaluate():
     assert ok.slack > 0
     bad = NormBoundCheck.evaluate(lhs=3.0, rhs_upper=2.0)
     assert not bad.satisfied
-    d = ok.to_json()
-    assert d["satisfied"] is True
 
 
 def test_positive_cone_sandwich_random_pairs():
@@ -193,30 +189,9 @@ def test_multiplicativity_on_separated_supports():
     for _ in range(25):
         s = np.zeros(n); s[list(i_set.indices)] = rng.standard_normal(3)
         h = np.zeros(n); h[list(j_set.indices)] = rng.standard_normal(3)
-        chk = check_multiplicativity(s, h, i_set, j_set)
-        assert chk.satisfied
         z = naive_convolve(s, h)
         assert abs(np.linalg.norm(z) -
                    np.linalg.norm(s) * np.linalg.norm(h)) < 1e-9
-
-
-def test_multiplicativity_rejects_collapsing_supports():
-    n = 4
-    i_set = support_from_indices([0, 2], n)
-    s = np.zeros(n); s[[0, 2]] = [1.0, 1.0]
-    with pytest.raises(ValueError) as err:
-        check_multiplicativity(s, s, i_set, i_set)
-    assert "2" in str(err.value)  # reports the actual sumset size
-
-
-def test_multiplicativity_rejects_offsupport_mass():
-    n = 16
-    i_set = support_from_indices([0, 1], n)
-    j_set = support_from_indices([0, 4], n)
-    s = np.zeros(n); s[0] = 1.0; s[7] = 0.5  # stray mass
-    h = np.zeros(n); h[0] = 1.0
-    with pytest.raises(ValueError):
-        check_multiplicativity(s, h, i_set, j_set)
 
 
 def test_upper_bound_unitary_holds_for_dft():
@@ -228,5 +203,9 @@ def test_upper_bound_unitary_holds_for_dft():
         hi = rng.choice(n, size=5, replace=False)
         s = np.zeros(n); s[si] = rng.standard_normal(3)
         h = np.zeros(n); h[hi] = rng.standard_normal(5)
-        chk = check_upper_bound_unitary(spec, s, h)
-        assert chk.satisfied
+        # ||T(s,h)|| <= sqrt(N ||U||_inf^2 min(||s||_0, ||h||_0)) ||s|| ||h||
+        k = min(np.count_nonzero(s), np.count_nonzero(h))
+        lhs = np.linalg.norm(apply_map(spec, s, h))
+        rhs = (np.sqrt(n * np.abs(spec.unitary).max() ** 2 * k)
+               * np.linalg.norm(s) * np.linalg.norm(h))
+        assert lhs <= rhs + 1e-9 * max(1.0, lhs, rhs)

@@ -399,18 +399,26 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert err["error"]["kind"] == "runtime"
 
 
-@pytest.mark.parametrize("command, extra, field", [
-    ("rnmp", {"method": "brute", "samples": 0}, "samples"),
-    ("rnmp", {"method": "alternating", "restarts": 0}, "restarts"),
-    ("rnmp", {"method": "grid", "grid_per_dim": 2}, "grid_per_dim"),
-    ("rip-mc", {"M": 4, "delta": 0.5, "n_samples": 0}, "n_samples"),
+CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
+
+
+@pytest.mark.parametrize("command, parameters, field", [
+    ("rnmp", {**CONE_PAIR, "method": "brute", "samples": 0}, "samples"),
+    ("rnmp", {**CONE_PAIR, "method": "alternating", "restarts": 0}, "restarts"),
+    ("rnmp", {**CONE_PAIR, "method": "grid", "grid_per_dim": 2}, "grid_per_dim"),
+    ("rip-mc", {**CONE_PAIR, "M": 4, "delta": 0.5, "n_samples": 0}, "n_samples"),
+    ("recover", {**CONE_PAIR, "M": 4, "max_iters": 0}, "max_iters"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "m_grid": [],
+                "alpha": 1.0}, "m_grid"),
+    ("phase", {"map": "circular_convolution", "n": 8, "S": 2, "F": 2, "m_grid": [],
+               "trials": 2}, "m_grid"),
 ])
-def test_out_of_range_count_exits_2_naming_the_field(tmp_path, capsys, command, extra, field):
+def test_out_of_range_count_exits_2_naming_the_field(tmp_path, capsys, command, parameters,
+                                                    field):
     body = {
         "schema": 1,
         "command": command,
-        "parameters": {"map": "circular_convolution", "n": 8,
-                       "i": [0, 1], "j": [0, 4], **extra},
+        "parameters": parameters,
         "output": str(tmp_path / "out.json"),
     }
     path = write_config(tmp_path, "cfg.json", body)

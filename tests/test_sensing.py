@@ -10,10 +10,9 @@ from bilinear_cs.bounds import c0
 from bilinear_cs.rnmp import apply_restricted_batch, basis_images
 from bilinear_cs.sensing import (GAUSSIAN, RADEMACHER, ConcentrationResult,
                                  DistortionReport, MeasurementEnsemble,
-                                 concentration_test, conjecture_probe,
-                                 distortion, generate, orthonormal_rows,
+                                 concentration_test, distortion, generate, orthonormal_rows,
                                  rip_monte_carlo)
-from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
+from bilinear_cs.sparse_model import (CONE_KINDS, SUBSPACE,
                                       ConeSpec, support_from_indices,
                                       unit_cone_directions)
 
@@ -124,46 +123,13 @@ def test_rip_monte_carlo_single_sample_and_matrix_input():
     assert rep.max_abs_distortion < 1e-12
 
 
-def test_rip_monte_carlo_counts_degenerate_extras():
-    # (1,0,1,0) and (1,0,-1,0) convolve to exactly zero; as an extra pair
-    # it must be skipped and counted, not folded into the statistics
-    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 4)
-    cx = cy = cone(4, [0, 2])
-    e = MeasurementEnsemble(GAUSSIAN, 4, 4, 0)
-    s = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
-    h = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2)
-    rep = rip_monte_carlo(spec, cx, cy, e, n_samples=50, delta=0.5, seed=3,
-                          extra_pairs=[(s, h)])
-    assert rep.skipped == 1
-    assert rep.n_samples == 50
-
-
-def test_rip_monte_carlo_extras_come_first():
-    # first row of the distortion array belongs to the first extra pair
-    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 8)
-    cx, cy = cone(8, [0, 1]), cone(8, [0, 4])
-    phi = np.eye(8)
-    s = np.zeros(8); s[0] = 1.0
-    h = np.zeros(8); h[4] = 1.0
-    rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=20, delta=0.5, seed=9,
-                          extra_pairs=[(s, h)])
-    assert rep.n_samples == 21
-    assert rep.abs_distortions[0] == 0.0
-
-
-def dense_distortions(spec, cx, cy, phi, n_samples, seed, extra_pairs):
-    """The full-length path: extras first, then the embedded samples, all
-    mapped by apply_map_batch; degenerate images are dropped."""
+def dense_distortions(spec, cx, cy, phi, n_samples, seed):
+    """The full-length path: the embedded samples, mapped by apply_map_batch."""
     ss_x, ss_y = np.random.SeedSequence(seed).spawn(2)
     xs = unit_cone_directions(cx, n_samples, np.random.default_rng(ss_x))
     ys = unit_cone_directions(cy, n_samples, np.random.default_rng(ss_y))
-    if extra_pairs:
-        xs = np.vstack([[p[0] for p in extra_pairs], xs])
-        ys = np.vstack([[p[1] for p in extra_pairs], ys])
     zs = apply_map_batch(spec, xs, ys)
-    norms = np.linalg.norm(zs, axis=1)
-    keep = norms >= sensing.DEGENERATE_NORM
-    return np.abs(np.linalg.norm(zs[keep] @ phi.T, axis=1) / norms[keep] - 1.0)
+    return np.abs(np.linalg.norm(zs @ phi.T, axis=1) / np.linalg.norm(zs, axis=1) - 1.0)
 
 
 # N >= 8 is where numpy's row norm sums pairwise instead of sequentially
@@ -179,17 +145,32 @@ def test_rip_monte_carlo_matches_dense_path_bitwise(n, i_idx, j_idx, kind, cone_
     spec = BilinearMapSpec(kind, n)
     cx, cy = cone(n, i_idx, cone_kind), cone(n, j_idx, cone_kind)
     phi = generate(MeasurementEnsemble(GAUSSIAN, max(2, n // 2), n, n))
-    # a pair on the cones and a degenerate one (zero y), both ahead of the draws
-    x, y = unit_cone_directions(cx, 1, np.random.default_rng(1))[0], np.zeros(n)
-    y[j_idx] = 1.0
-    extras = [(x, y), (x, np.zeros(n))]
-    for extra_pairs in (None, extras):
-        rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=20_001, delta=0.5, seed=n,
-                              extra_pairs=extra_pairs)
-        want = dense_distortions(spec, cx, cy, phi, 20_001, n, extra_pairs)
-        assert np.array_equal(rep.abs_distortions, want)
-        assert rep.skipped == (1 if extra_pairs else 0)
-        assert rep.max_abs_distortion == np.max(want)
+    rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=20_001, delta=0.5, seed=n)
+    want = dense_distortions(spec, cx, cy, phi, 20_001, n)
+    assert np.array_equal(rep.abs_distortions, want)
+    assert rep.skipped == 0
+    assert rep.max_abs_distortion == np.max(want)
+
+
+def test_rip_monte_carlo_skips_a_degenerate_row(monkeypatch):
+    # a zero coefficient row has a zero image: it is skipped and counted,
+    # and every other sample keeps its order and its bits
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
+    cx, cy = cone(16, [0, 1, 5]), cone(16, [2, 3])
+    phi = generate(MeasurementEnsemble(GAUSSIAN, 8, 16, 4))
+    full = rip_monte_carlo(spec, cx, cy, phi, n_samples=50, delta=0.5, seed=7)
+    draw = sensing.unit_cone_coefficients
+
+    def draw_with_zero_row(cone_spec, count, rng):
+        out = draw(cone_spec, count, rng)
+        if cone_spec is cx:
+            out[17] = 0.0
+        return out
+
+    monkeypatch.setattr(sensing, "unit_cone_coefficients", draw_with_zero_row)
+    rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=50, delta=0.5, seed=7)
+    assert rep.skipped == 1 and rep.n_samples == 49
+    assert np.array_equal(rep.abs_distortions, np.delete(full.abs_distortions, 17))
 
 
 # the rip-mc shapes (samples, N, M) of the benchmark's measurement_recovery
@@ -237,6 +218,9 @@ def test_rip_monte_carlo_argument_validation():
         rip_monte_carlo(spec, cx, cy, np.zeros((4, 9)), n_samples=5, delta=0.5, seed=0)
     with pytest.raises(ValueError):
         rip_monte_carlo(spec, cone(16, [0, 1]), cy, e, n_samples=5, delta=0.5, seed=0)
+    for delta in (-1.0, 0.0, 1.0):
+        with pytest.raises(ValueError):
+            rip_monte_carlo(spec, cx, cy, e, n_samples=5, delta=delta, seed=0)
 
 
 def test_distortion_report_validates_counts():
@@ -378,29 +362,3 @@ def test_concentration_gaussian_ratios_match_dense_draws():
     # asymptotic critical value at level 1e-3: c = sqrt(-ln(alpha / 2) / 2)
     crit = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) * math.sqrt(2.0 / trials)
     assert d <= crit, (d, crit)
-
-
-def test_conjecture_probe_basics():
-    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
-    cx, cy = cone(16, [0, 1]), cone(16, [0, 4])
-    e = MeasurementEnsemble(GAUSSIAN, 12, 16, 3)
-    probe = conjecture_probe(spec, cx, cy, e, delta=0.5, trials=50)
-    assert probe.evaluated + probe.skipped == 50
-    assert 0.0 <= probe.empirical_rate <= 1.0
-    assert probe.conjectured_rate == 2.0 * (12.0 / 0.5) ** 4 * math.exp(-c0(0.5) * 12)
-    again = conjecture_probe(spec, cx, cy, e, delta=0.5, trials=50)
-    assert probe.failures == again.failures
-    assert probe.to_json()["d"] == 12.0
-
-
-def test_conjecture_probe_validation():
-    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
-    cx = cone(16, [0, 1])
-    orthant = cone(16, [0, 4], POSITIVE_ORTHANT)
-    e = MeasurementEnsemble(GAUSSIAN, 12, 16, 3)
-    with pytest.raises(ValueError):
-        conjecture_probe(spec, cx, orthant, e, delta=0.5, trials=10)
-    with pytest.raises(ValueError):
-        conjecture_probe(spec, cx, cone(16, [0, 4]), e, delta=0.5, trials=0)
-    with pytest.raises(ValueError):
-        conjecture_probe(spec, cx, cone(16, [0, 4]), e, delta=0.5, trials=10, d=1.0)

@@ -41,7 +41,7 @@ def test_support_from_indices_sorts_and_dedups():
 
 def test_support_json_round_trip():
     s = Support((1, 4), 6)
-    assert Support.from_json(s.to_json()) == s
+    assert s.to_json() == {"n": 6, "indices": [1, 4]}
 
 
 def test_cone_spec_json_shape():
