@@ -22,8 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from .sparse_model import SparseVector
-
 POINTWISE = "pointwise"
 CIRCULAR_CONVOLUTION = "circular_convolution"
 UNITARY_PRODUCT = "unitary_product"
@@ -75,7 +73,7 @@ def dft_unitary(n: int) -> np.ndarray:
 
 
 def _coerce(vec, n: int) -> np.ndarray:
-    v = vec.values if isinstance(vec, SparseVector) else np.asarray(vec, dtype=float)
+    v = np.asarray(vec, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"expected a length-{n} vector, got shape {v.shape}")
     return v
@@ -157,8 +155,8 @@ def check_positive_cone_bounds(s, h) -> NormBoundCheck:
 
     Both inputs must be entrywise nonnegative.
     """
-    sv = np.asarray(s.values if isinstance(s, SparseVector) else s, dtype=float)
-    hv = np.asarray(h.values if isinstance(h, SparseVector) else h, dtype=float)
+    sv = np.asarray(s, dtype=float)
+    hv = np.asarray(h, dtype=float)
     if sv.min() < 0 or hv.min() < 0:
         raise ValueError("positive-cone bounds require nonnegative entries")
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, sv.size)

@@ -26,12 +26,11 @@ import numpy as np
 
 from . import __version__
 from .bilinear_ops import CIRCULAR_CONVOLUTION, POINTWISE, BilinearMapSpec
-from .bounds import CASES, BoundReport, compose_bound_report, union_bound_samples
-from .recovery import (BilinearModel, PhaseTransitionResult, iht,
-                       model_sparsity, oracle_least_squares, output_support,
-                       phase_transition, simulate_problem)
+from .bounds import CASES, compose_bound_report, union_bound_samples
+from .recovery import (BilinearModel, iht, model_sparsity, oracle_least_squares,
+                       output_support, phase_transition, simulate_problem)
 from .rnmp import certify_exhaustive, estimate_alternating, estimate_brute
-from .sensing import (ENSEMBLE_KINDS, DistortionReport, MeasurementEnsemble,
+from .sensing import (ENSEMBLE_KINDS, GAUSSIAN, MeasurementEnsemble,
                       concentration_test, generate, rip_monte_carlo)
 from .sparse_model import CONE_KINDS, SUBSPACE, ConeSpec, support_from_indices
 
@@ -175,116 +174,109 @@ def _config_header(config: ExperimentConfig) -> list:
         for key, value in sorted(config.echo().items())]
 
 
-def _distortion_table(report: DistortionReport) -> _Table:
-    return {"sample_index": range(report.abs_distortions.size),
-            "abs_distortion": report.abs_distortions}
-
-
-def _bounds_table(reports: Sequence[BoundReport]) -> _Table:
-    return {"M": [b.m for b in reports],
-            "raw_bound": [b.success_probability_lower for b in reports],
-            "clamped_bound": [b.success_probability_clamped for b in reports]}
-
-
-def emit_plot_data(report, output_path: str) -> None:
-    """Flatten a report into plotting CSV.
-
-    DistortionReport -> (sample_index, abs_distortion); phase result ->
-    (M, rate); a sequence of BoundReports -> (M, raw_bound,
-    clamped_bound).
-    """
-    if isinstance(report, DistortionReport):
-        table = _distortion_table(report)
-    elif isinstance(report, PhaseTransitionResult):
-        table = {"M": [c.m for c in report.cells], "rate": [c.rate for c in report.cells]}
-    elif isinstance(report, Sequence) and report and \
-            all(isinstance(b, BoundReport) for b in report):
-        table = _bounds_table(report)
-    else:
-        raise TypeError(f"no plot schema for {type(report).__name__}")
-    _write_csv(output_path, [], table)
-
-
 # ---------------------------------------------------------------------------
-# parameter plumbing
+# parameter table
+
+REQUIRED = object()  # the default of a field that must be set
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _take(params: dict, name: str, kind, default=None, required: bool = False):
-    if name not in params:
-        if required:
-            raise ConfigError(name, "missing required parameter")
-        return default
-    value = params[name]
-    if kind is int:
-        if not _is_int(value):
-            raise ConfigError(name, f"must be an integer, got {value!r}")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(name, f"must be a number, got {value!r}")
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(name, f"must be a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(name, f"must be a list, got {value!r}")
-        return value
-    raise AssertionError(f"unknown parameter kind {kind}")
+def _is_number(value) -> bool:
+    """A JSON number that is a finite double: NaN, infinities and ints
+    beyond the double range fail the comparison."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _count(params: dict, name: str, default: int, least: int) -> int:
-    value = _take(params, name, int, default=default)
-    if value < least:
-        raise ConfigError(name, f"must be >= {least}, got {value}")
-    return value
+# what each field kind accepts, and how a rejection names it
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "ints": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)),
+             "a non-empty list of integers"),
+    "floats": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+               "a non-empty list of finite numbers"),
+}
 
 
-def _int_list(params: dict, name: str, required: bool = False) -> Optional[list]:
-    value = _take(params, name, list, required=required)
-    if value is not None and not (value and all(map(_is_int, value))):
-        raise ConfigError(name, "must be a non-empty list of integers")
-    return value
+# command -> field -> (kind, default, check); a check is a tuple of the
+# allowed values, the least allowed integer, or None
+_MAP = {"map": ("str", REQUIRED, tuple(_CLI_MAPS)), "n": ("int", REQUIRED, None)}
+_CONES = {"i": ("ints", REQUIRED, None), "j": ("ints", REQUIRED, None),
+          "cone_x": ("str", SUBSPACE, CONE_KINDS), "cone_y": ("str", SUBSPACE, CONE_KINDS)}
+_ENSEMBLE = {"ensemble": ("str", GAUSSIAN, ENSEMBLE_KINDS), "M": ("int", REQUIRED, None)}
+_PARAMETERS = {
+    "rnmp": {**_MAP, **_CONES,
+             "method": ("str", "grid", ("brute", "alternating", "grid")),
+             "samples": ("int", 10_000, 1), "restarts": ("int", 8, 1),
+             "grid_per_dim": ("int", 64, 3)},
+    "bounds": {"case": ("str", REQUIRED, CASES), "S": ("int", REQUIRED, None),
+               "F": ("int", REQUIRED, None), "delta": ("float", REQUIRED, None),
+               "M": ("int", None, None), "m_grid": ("ints", None, None),
+               "N": ("int", None, None), "alpha": ("float", None, None),
+               "beta": ("float", None, None), "p_target": ("float", None, None),
+               "solve_samples": ("int", 0, None)},
+    "rip-mc": {**_MAP, **_CONES, **_ENSEMBLE, "n_samples": ("int", 10_000, 1),
+               "delta": ("float", REQUIRED, None)},
+    "concentration": {"n": ("int", REQUIRED, None), **_ENSEMBLE,
+                      "trials": ("int", REQUIRED, 100),
+                      "delta": ("float", REQUIRED, None), "r": ("floats", None, None)},
+    "recover": {**_MAP, **_CONES, **_ENSEMBLE, "noise_sigma": ("float", 0.0, None),
+                "algorithm": ("str", "iht", ("iht", "oracle")), "k": ("int", None, None),
+                "max_iters": ("int", 500, 1), "tol": ("float", 1e-8, None)},
+    "phase": {**_MAP, "S": ("int", REQUIRED, None), "F": ("int", REQUIRED, None),
+              "cone_kind": ("str", SUBSPACE, CONE_KINDS), "m_grid": ("ints", REQUIRED, None),
+              "trials": ("int", REQUIRED, 1), "delta_success": ("float", 1e-3, None)},
+}
 
 
-def _check_unknown(params: dict, allowed: Sequence[str]) -> None:
-    for key in params:
-        if key not in allowed:
-            raise ConfigError(key, f"unknown parameter (allowed: {sorted(allowed)})")
+def _parameters(config: ExperimentConfig) -> dict:
+    """The command's fields: unknown keys rejected, each given field
+    checked once, defaults filled in, numbers of kind float made floats."""
+    fields = _PARAMETERS[config.command]
+    for key in config.parameters:
+        if key not in fields:
+            raise ConfigError(key, f"unknown parameter (allowed: {sorted(fields)})")
+    p = {}
+    for name, (kind, default, check) in fields.items():
+        if name not in config.parameters:
+            if default is REQUIRED:
+                raise ConfigError(name, "missing required parameter")
+            p[name] = default
+            continue
+        value = config.parameters[name]
+        accepts, what = _KINDS[kind]
+        if not accepts(value):
+            raise ConfigError(name, f"must be {what}, got {value!r}")
+        if isinstance(check, tuple) and value not in check:
+            raise ConfigError(name, f"must be one of {check}, got {value!r}")
+        if isinstance(check, int) and value < check:
+            raise ConfigError(name, f"must be >= {check}, got {value}")
+        p[name] = float(value) if kind == "float" else value
+    return p
 
 
-def _map_spec(params: dict, n: int) -> BilinearMapSpec:
-    name = _take(params, "map", str, required=True)
-    if name not in _CLI_MAPS:
-        raise ConfigError("map", f"must be one of {sorted(_CLI_MAPS)}, got {name!r}")
-    return BilinearMapSpec(_CLI_MAPS[name], n)
-
-
-def _cone_kind(params: dict, key: str) -> str:
-    kind = _take(params, key, str, default=SUBSPACE)
-    if kind not in CONE_KINDS:
-        raise ConfigError(key, f"must be one of {CONE_KINDS}, got {kind!r}")
-    return kind
-
-
-def _cone(params: dict, index_key: str, kind_key: str, n: int) -> ConeSpec:
-    indices = _int_list(params, index_key, required=True)
-    kind = _cone_kind(params, kind_key)
+def _cone(p: dict, index_key: str, kind_key: str) -> ConeSpec:
     try:
-        return ConeSpec(support_from_indices(indices, n), kind)
+        return ConeSpec(support_from_indices(p[index_key], p["n"]), p[kind_key])
     except ValueError as exc:
         raise ConfigError(index_key, str(exc))
 
 
-def _map_and_cones(params: dict) -> Tuple[int, BilinearMapSpec, ConeSpec, ConeSpec]:
-    n = _take(params, "n", int, required=True)
-    return (n, _map_spec(params, n), _cone(params, "i", "cone_x", n),
-            _cone(params, "j", "cone_y", n))
+def _map_and_cones(p: dict) -> Tuple[BilinearMapSpec, ConeSpec, ConeSpec]:
+    return (BilinearMapSpec(_CLI_MAPS[p["map"]], p["n"]), _cone(p, "i", "cone_x"),
+            _cone(p, "j", "cone_y"))
+
+
+def _ensemble(p: dict, seed: int) -> MeasurementEnsemble:
+    try:
+        return MeasurementEnsemble(kind=p["ensemble"], rows=p["M"], cols=p["n"], seed=seed)
+    except ValueError as exc:
+        raise ConfigError("M", str(exc))
 
 
 def _two_seeds(seed: int) -> Tuple[int, int]:
@@ -293,151 +285,81 @@ def _two_seeds(seed: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (json payload, csv table or None)
+# command handlers: each takes the checked fields and the seed, and
+# returns (json payload, csv table or None)
 
 
-def _run_rnmp(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
-    p = dict(config.parameters)
-    _check_unknown(p, ("map", "n", "i", "j", "cone_x", "cone_y", "method",
-                       "samples", "restarts", "grid_per_dim"))
-    _, spec, cone_x, cone_y = _map_and_cones(p)
-    method = _take(p, "method", str, default="grid")
-    if method == "brute":
-        est = estimate_brute(spec, cone_x, cone_y,
-                             samples=_count(p, "samples", 10_000, 1),
-                             seed=config.seed)
-    elif method == "alternating":
-        est = estimate_alternating(spec, cone_x, cone_y,
-                                   restarts=_count(p, "restarts", 8, 1),
-                                   seed=config.seed)
-    elif method == "grid":
-        est = certify_exhaustive(spec, cone_x, cone_y,
-                                 grid_per_dim=_count(p, "grid_per_dim", 64, 3))
+def _run_rnmp(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+    spec, cone_x, cone_y = _map_and_cones(p)
+    if p["method"] == "brute":
+        est = estimate_brute(spec, cone_x, cone_y, samples=p["samples"], seed=seed)
+    elif p["method"] == "alternating":
+        est = estimate_alternating(spec, cone_x, cone_y, restarts=p["restarts"], seed=seed)
     else:
-        raise ConfigError("method", f"must be brute, alternating or grid, got {method!r}")
+        est = certify_exhaustive(spec, cone_x, cone_y, grid_per_dim=p["grid_per_dim"])
     return est.to_json(), None
 
 
-def _run_bounds(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
-    p = dict(config.parameters)
-    _check_unknown(p, ("case", "S", "F", "delta", "M", "m_grid", "N",
-                       "alpha", "beta", "p_target", "solve_samples"))
-    case = _take(p, "case", str, required=True)
-    if case not in CASES:
-        raise ConfigError("case", f"must be one of {CASES}, got {case!r}")
-    s = _take(p, "S", int, required=True)
-    f = _take(p, "F", int, required=True)
-    delta = _take(p, "delta", float, required=True)
-    n = _take(p, "N", int)
-    m_grid = _int_list(p, "m_grid")
-    if m_grid is not None:
-        reports = [compose_bound_report(case, s, f, delta, m, n) for m in m_grid]
-        payload: dict = {"reports": [r.to_json() for r in reports]}
-    else:
-        m = _take(p, "M", int, required=True)
-        reports = [compose_bound_report(case, s, f, delta, m, n)]
-        payload = reports[0].to_json()
+def _run_bounds(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+    case, s, f, delta, n = p["case"], p["S"], p["F"], p["delta"], p["N"]
+    if p["m_grid"] is None and p["M"] is None:
+        raise ConfigError("M", "missing required parameter")
+    reports = [compose_bound_report(case, s, f, delta, m, n) for m in p["m_grid"] or [p["M"]]]
+    payload = ({"reports": [r.to_json() for r in reports]} if p["m_grid"]
+               else reports[0].to_json())
 
     for key in ("alpha", "beta"):
-        claimed = _take(p, key, float)
-        if claimed is not None:
-            actual = getattr(reports[0], key)
-            if abs(claimed - actual) > 1e-12:
-                raise ConfigError(key, f"case {case!r} implies {key}={actual!r}, "
-                                       f"got {claimed!r}")
+        claimed, actual = p[key], getattr(reports[0], key)
+        if claimed is not None and abs(claimed - actual) > 1e-12:
+            raise ConfigError(key, f"case {case!r} implies {key}={actual!r}, got {claimed!r}")
 
-    if _take(p, "solve_samples", int, default=0):
-        if n is None:
-            raise ConfigError("N", "required when solve_samples is set")
-        p_target = _take(p, "p_target", float, required=True)
+    if p["solve_samples"]:
+        for key in ("N", "p_target"):
+            if p[key] is None:
+                raise ConfigError(key, "required when solve_samples is set")
         payload["sample_count"] = union_bound_samples(
-            n, s, f, delta, p_target, case).to_json()
+            n, s, f, delta, p["p_target"], case).to_json()
 
-    return payload, _bounds_table(reports)
-
-
-def _ensemble(p: dict, n: int, m_key: str, seed: int) -> MeasurementEnsemble:
-    m = _take(p, m_key, int, required=True)
-    kind = _take(p, "ensemble", str, default="gaussian")
-    if kind not in ENSEMBLE_KINDS:
-        raise ConfigError("ensemble", f"must be one of {ENSEMBLE_KINDS}, got {kind!r}")
-    try:
-        return MeasurementEnsemble(kind=kind, rows=m, cols=n, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(m_key, str(exc))
+    return payload, {"M": [b.m for b in reports],
+                     "raw_bound": [b.success_probability_lower for b in reports],
+                     "clamped_bound": [b.success_probability_clamped for b in reports]}
 
 
-def _run_rip_mc(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
-    p = dict(config.parameters)
-    _check_unknown(p, ("map", "n", "i", "j", "cone_x", "cone_y", "ensemble",
-                       "M", "n_samples", "delta"))
-    n, spec, cone_x, cone_y = _map_and_cones(p)
-    delta = _take(p, "delta", float, required=True)
-    n_samples = _count(p, "n_samples", 10_000, 1)
-    e_seed, s_seed = _two_seeds(config.seed)
-    ensemble = _ensemble(p, n, "M", e_seed)
-    report = rip_monte_carlo(spec, cone_x, cone_y, ensemble, n_samples,
-                             delta, s_seed)
-    return report.to_json(), _distortion_table(report)
+def _run_rip_mc(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+    spec, cone_x, cone_y = _map_and_cones(p)
+    e_seed, s_seed = _two_seeds(seed)
+    report = rip_monte_carlo(spec, cone_x, cone_y, _ensemble(p, e_seed), p["n_samples"],
+                             p["delta"], s_seed)
+    return report.to_json(), {"sample_index": range(report.abs_distortions.size),
+                              "abs_distortion": report.abs_distortions}
 
 
-def _run_concentration(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
-    p = dict(config.parameters)
-    _check_unknown(p, ("n", "M", "ensemble", "trials", "delta", "r"))
-    n = _take(p, "n", int, required=True)
-    trials = _take(p, "trials", int, required=True)
-    delta = _take(p, "delta", float, required=True)
-    ensemble = _ensemble(p, n, "M", config.seed)
-    r_list = _take(p, "r", list)
-    if r_list is None:
-        r = np.zeros(n)
+def _run_concentration(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+    ensemble = _ensemble(p, seed)
+    if p["r"] is None:
+        r = np.zeros(p["n"])
         r[0] = 1.0
     else:
-        try:
-            r = np.array([float(v) for v in r_list])
-        except (TypeError, ValueError):
-            raise ConfigError("r", "must be a list of numbers")
-    result = concentration_test(r, ensemble, trials, delta)
-    return result.to_json(), None
+        r = np.array([float(v) for v in p["r"]])
+    return concentration_test(r, ensemble, p["trials"], p["delta"]).to_json(), None
 
 
-def _run_recover(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
-    p = dict(config.parameters)
-    _check_unknown(p, ("map", "n", "i", "j", "cone_x", "cone_y", "ensemble",
-                       "M", "noise_sigma", "algorithm", "k", "max_iters", "tol"))
-    n, spec, cone_x, cone_y = _map_and_cones(p)
-    model = BilinearModel(spec, cone_x, cone_y)
-    algorithm = _take(p, "algorithm", str, default="iht")
-    if algorithm not in ("iht", "oracle"):
-        raise ConfigError("algorithm", f"must be iht or oracle, got {algorithm!r}")
-    noise_sigma = _take(p, "noise_sigma", float, default=0.0)
-    e_seed, s_seed = _two_seeds(config.seed)
-    ensemble = _ensemble(p, n, "M", e_seed)
-    problem = simulate_problem(model, generate(ensemble), noise_sigma, s_seed)
-    if algorithm == "oracle":
+def _run_recover(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+    model = BilinearModel(*_map_and_cones(p))
+    e_seed, s_seed = _two_seeds(seed)
+    problem = simulate_problem(model, generate(_ensemble(p, e_seed)), p["noise_sigma"], s_seed)
+    if p["algorithm"] == "oracle":
         result = oracle_least_squares(problem, output_support(model))
     else:
-        k = _take(p, "k", int, default=model_sparsity(model))
-        result = iht(problem, k,
-                     max_iters=_count(p, "max_iters", 500, 1),
-                     tol=_take(p, "tol", float, default=1e-8))
+        k = model_sparsity(model) if p["k"] is None else p["k"]
+        result = iht(problem, k, max_iters=p["max_iters"], tol=p["tol"])
     return result.to_json(), None
 
 
-def _run_phase(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
-    p = dict(config.parameters)
-    _check_unknown(p, ("map", "n", "S", "F", "cone_kind", "m_grid", "trials",
-                       "delta_success"))
-    n = _take(p, "n", int, required=True)
-    spec = _map_spec(p, n)
-    s = _take(p, "S", int, required=True)
-    f = _take(p, "F", int, required=True)
-    cone_kind = _cone_kind(p, "cone_kind")
-    m_grid = _int_list(p, "m_grid", required=True)
-    trials = _take(p, "trials", int, required=True)
-    delta_success = _take(p, "delta_success", float, default=1e-3)
-    result = phase_transition(spec, n, s, f, cone_kind, m_grid, trials,
-                              delta_success=delta_success, seed=config.seed)
+def _run_phase(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+    spec = BilinearMapSpec(_CLI_MAPS[p["map"]], p["n"])
+    result = phase_transition(spec, p["n"], p["S"], p["F"], p["cone_kind"], p["m_grid"],
+                              p["trials"], delta_success=p["delta_success"], seed=seed)
     cells = result.cells
     return result.to_json(), {
         "N": [result.n] * len(cells), "S": [result.s] * len(cells),
@@ -446,7 +368,7 @@ def _run_phase(config: ExperimentConfig) -> Tuple[dict, Optional[_Table]]:
         "successes": [c.successes for c in cells], "rate": [c.rate for c in cells]}
 
 
-_HANDLERS: Dict[str, Callable[[ExperimentConfig], Tuple[dict, Optional[_Table]]]] = {
+_HANDLERS: Dict[str, Callable[[dict, int], Tuple[dict, Optional[_Table]]]] = {
     "rnmp": _run_rnmp,
     "bounds": _run_bounds,
     "rip-mc": _run_rip_mc,
@@ -459,7 +381,7 @@ _HANDLERS: Dict[str, Callable[[ExperimentConfig], Tuple[dict, Optional[_Table]]]
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
-        payload, table = _HANDLERS[config.command](config)
+        payload, table = _HANDLERS[config.command](_parameters(config), config.seed)
         if config.format == "csv":
             if table is None:
                 raise ConfigError("format",
@@ -475,7 +397,7 @@ def run(config: ExperimentConfig) -> int:
             {"error": {"kind": "config", "field": exc.field,
                        "message": exc.message}}) + "\n")
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         sys.stderr.write(json.dumps(
             {"error": {"kind": "runtime", "message": str(exc)}}) + "\n")
         return 1

@@ -30,8 +30,8 @@ import numpy as np
 from .bilinear_ops import (BilinearMapSpec, CIRCULAR_CONVOLUTION, POINTWISE,
                            apply_map)
 from .sensing import GAUSSIAN, _draw
-from .sparse_model import (CONE_KINDS, ConeSpec, Support, sample_cone,
-                           support_from_indices, support_sum, unit_cone_directions)
+from .sparse_model import (CONE_KINDS, ConeSpec, Support, support_from_indices,
+                           support_sum, unit_cone_directions)
 
 # images with norm below this are treated as degenerate draws
 _NULL_IMAGE = 1e-12
@@ -358,15 +358,15 @@ def simulate_problem(model: BilinearModel, phi: np.ndarray,
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     ss_s, ss_h, ss_noise = np.random.SeedSequence(seed).spawn(3)
-    s = sample_cone(model.cone_x, ss_s)
-    h = sample_cone(model.cone_y, ss_h)
+    s = unit_cone_directions(model.cone_x, 1, np.random.default_rng(ss_s))[0]
+    h = unit_cone_directions(model.cone_y, 1, np.random.default_rng(ss_h))[0]
     z = apply_map(model.map_spec, s, h)
     y = phi @ z
     if noise_sigma > 0:
         y = y + noise_sigma * np.random.default_rng(ss_noise).standard_normal(y.shape)
     return RecoveryProblem(phi=np.array(phi, dtype=np.float64), y=y, model=model,
                            noise_sigma=noise_sigma,
-                           truth=(s.values.copy(), h.values.copy(), z))
+                           truth=(s, h, z))
 
 
 @dataclass(frozen=True)
@@ -403,9 +403,6 @@ class PhaseTransitionResult:
     cells: Tuple[PhaseCell, ...]
     reference_additive: float
     reference_multiplicative: float
-
-    def rates(self) -> np.ndarray:
-        return np.array([c.rate for c in self.cells])
 
     def to_json(self) -> dict:
         return {

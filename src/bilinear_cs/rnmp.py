@@ -80,11 +80,6 @@ class RnmpEstimate:
                 f"need 0 <= alpha <= beta, got alpha={self.alpha_est}, beta={self.beta_est}"
             )
 
-    @property
-    def multiplicative(self) -> bool:
-        """Whether the estimates collapse to alpha = beta within tol."""
-        return abs(self.beta_est - self.alpha_est) <= self.tol
-
     def to_json(self) -> dict:
         return {
             "support_x": self.support_pair[0].to_json(),
@@ -106,8 +101,8 @@ class RnmpEstimate:
 
 def norm_ratio(spec: BilinearMapSpec, x, y) -> float:
     """||T(x,y)|| / (||x|| ||y||); 0-homogeneous in each argument."""
-    xv = np.asarray(getattr(x, "values", x), dtype=float)
-    yv = np.asarray(getattr(y, "values", y), dtype=float)
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
     nx = np.linalg.norm(xv)
     ny = np.linalg.norm(yv)
     if nx == 0 or ny == 0:

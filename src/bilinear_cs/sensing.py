@@ -100,15 +100,6 @@ def orthonormal_rows(rows: int, cols: int, seed: int) -> np.ndarray:
     return q[:rows]
 
 
-def distortion(phi: np.ndarray, z: np.ndarray) -> float:
-    """|Phi z| / |z| - 1 for a single nonzero vector."""
-    z = np.asarray(z, dtype=np.float64)
-    nz = float(np.linalg.norm(z))
-    if nz == 0.0:
-        raise ValueError("distortion of the zero vector is undefined")
-    return float(np.linalg.norm(phi @ z)) / nz - 1.0
-
-
 @dataclass(frozen=True, eq=False)
 class DistortionReport:
     """Monte Carlo distortion statistics for one fixed matrix.

@@ -1,9 +1,10 @@
-"""Supports, canonical cones and sparse vectors.
+"""Supports, canonical cones and uniform draws from their unit spheres.
 
 The combinatorial side of every sparse model used here: an index set
 I ⊆ {0, ..., N-1}, the canonical subspace span{e_i, i ∈ I}, and its
 positive-orthant restriction {x ∈ span{e_i} : x_i >= 0}.  All types are
-immutable value objects; the samplers are pure functions of (spec, seed).
+immutable value objects; the samplers draw from the numpy Generator they
+are given, so a caller that seeds the generator fixes the draw.
 """
 
 from __future__ import annotations
@@ -84,38 +85,6 @@ class ConeSpec:
             "indices": list(self.support.indices),
             "kind": self.kind,
         }
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Dense length-N vector together with the support it is declared on.
-
-    Invariant: every nonzero entry lies inside `declared_support`, hence
-    the sparsity ||x||_0 is at most the declared support size.
-    """
-
-    values: np.ndarray
-    declared_support: Support
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        n = self.declared_support.ambient_dim
-        if vals.shape != (n,):
-            raise ValueError(f"values must have shape ({n},), got {vals.shape}")
-        outside = np.setdiff1d(np.flatnonzero(vals), self.declared_support.as_array())
-        if outside.size:
-            raise ValueError(f"nonzero entries at {outside.tolist()} outside declared support")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-    @property
-    def sparsity(self) -> int:
-        """Number of nonzero entries (the l0 functional)."""
-        return int(np.count_nonzero(self.values))
 
 
 def support_from_indices(indices: Iterable[int], n: int) -> Support:
@@ -207,15 +176,3 @@ def unit_cone_directions(cone: ConeSpec, count: int, rng: np.random.Generator) -
     out = np.zeros((count, cone.ambient_dim))
     out[:, cone.support.as_array()] = unit_cone_coefficients(cone, count, rng)
     return out
-
-
-def sample_cone(cone: ConeSpec, rng_seed: int, norm: float = 1.0) -> SparseVector:
-    """Deterministic uniform sample from the cone ∩ sphere of radius `norm`.
-
-    Repeated calls with the same seed return the identical vector.
-    """
-    if norm <= 0:
-        raise ValueError(f"norm must be positive, got {norm}")
-    rng = np.random.default_rng(rng_seed)
-    direction = unit_cone_directions(cone, 1, rng)[0]
-    return SparseVector(norm * direction, cone.support)

@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from bilinear_cs import __version__, cli, rnmp
-from bilinear_cs.bounds import compose_bound_report, union_bound_samples
-from bilinear_cs.cli import (ConfigError, ExperimentConfig, emit_plot_data,
-                             json_text, load_config, main, run)
-from bilinear_cs.recovery import PhaseCell, PhaseTransitionResult
-from bilinear_cs.sensing import DistortionReport
+from bilinear_cs.bounds import union_bound_samples
+from bilinear_cs.cli import ConfigError, ExperimentConfig, json_text, load_config, main, run
 
 
 def write_config(tmp_path, name, body):
@@ -406,12 +403,24 @@ CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
     ("rnmp", {**CONE_PAIR, "method": "brute", "samples": 0}, "samples"),
     ("rnmp", {**CONE_PAIR, "method": "alternating", "restarts": 0}, "restarts"),
     ("rnmp", {**CONE_PAIR, "method": "grid", "grid_per_dim": 2}, "grid_per_dim"),
+    # a knob the chosen method ignores is checked all the same
+    ("rnmp", {**CONE_PAIR, "method": "grid", "samples": 0}, "samples"),
     ("rip-mc", {**CONE_PAIR, "M": 4, "delta": 0.5, "n_samples": 0}, "n_samples"),
     ("recover", {**CONE_PAIR, "M": 4, "max_iters": 0}, "max_iters"),
     ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "m_grid": [],
                 "alpha": 1.0}, "m_grid"),
     ("phase", {"map": "circular_convolution", "n": 8, "S": 2, "F": 2, "m_grid": [],
                "trials": 2}, "m_grid"),
+    ("phase", {"map": "circular_convolution", "n": 8, "S": 2, "F": 2, "m_grid": [4, 8],
+               "trials": 0}, "trials"),
+    ("concentration", {"n": 8, "M": 4, "trials": 50, "delta": 0.5}, "trials"),
+    # entries of r must be JSON numbers, and finite
+    ("concentration", {"n": 4, "M": 2, "trials": 100, "delta": 0.5,
+                       "r": ["1", " 2 ", "nan", "0"]}, "r"),
+    ("concentration", {"n": 4, "M": 2, "trials": 100, "delta": 0.5,
+                       "r": [1.0, math.nan, 0.0, 0.0]}, "r"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": math.nan, "M": 100},
+     "delta"),
 ])
 def test_out_of_range_count_exits_2_naming_the_field(tmp_path, capsys, command, parameters,
                                                     field):
@@ -427,6 +436,16 @@ def test_out_of_range_count_exits_2_naming_the_field(tmp_path, capsys, command, 
     assert len(err) == 1
     assert json.loads(err[0])["error"]["kind"] == "config"
     assert json.loads(err[0])["error"]["field"] == field
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_bound_overflow_exits_1_without_traceback(tmp_path, capsys):
+    # (18/delta)**dim overflows a double in covering_bound at S = F = 300
+    path = bounds_config(tmp_path, S=300, F=300, M=1000)
+    assert main(["--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["kind"] == "runtime"
     assert not (tmp_path / "out.json").exists()
 
 
@@ -448,40 +467,6 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "none.json")]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["kind"] == "config"
-
-
-def test_emit_plot_data_schemas(tmp_path):
-    dist = DistortionReport(n_samples=3, skipped=0, max_abs_distortion=0.3,
-                            quantiles=((0.5, 0.1),), exceed_count=0, delta=0.5,
-                            m=4, n=8, sample_seed=0, ensemble_seed=None,
-                            abs_distortions=np.array([0.1, 0.2, 0.3]))
-    p1 = tmp_path / "d.csv"
-    emit_plot_data(dist, str(p1))
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "sample_index,abs_distortion"
-    assert len(lines) == 4
-
-    phase = PhaseTransitionResult(
-        n=16, s=2, f=2, cone_kind="subspace", map_kind="circular_convolution",
-        trials=4, delta_success=1e-3, seed=0,
-        cells=(PhaseCell(8, 4, 1), PhaseCell(16, 4, 3)),
-        reference_additive=1.0, reference_multiplicative=2.0)
-    p2 = tmp_path / "p.csv"
-    emit_plot_data(phase, str(p2))
-    lines = p2.read_text().splitlines()
-    assert lines[0] == "M,rate"
-    assert lines[1] == "8,0.25"
-
-    from bilinear_cs.bounds import compose_bound_report
-    reports = [compose_bound_report("tensor_conv", 3, 3, 0.5, m) for m in (100, 200)]
-    p3 = tmp_path / "b.csv"
-    emit_plot_data(reports, str(p3))
-    lines = p3.read_text().splitlines()
-    assert lines[0] == "M,raw_bound,clamped_bound"
-    assert len(lines) == 3
-
-    with pytest.raises(TypeError):
-        emit_plot_data({"not": "a report"}, str(tmp_path / "n.csv"))
 
 
 def test_run_accepts_programmatic_config(tmp_path):
@@ -595,25 +580,3 @@ def test_csv_commands_match_row_writer_bytes(tmp_path, monkeypatch, command, par
                    columns, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-
-def test_emit_plot_data_matches_row_writer_bytes(tmp_path):
-    dist = DistortionReport(n_samples=4, skipped=0, max_abs_distortion=1e300,
-                            quantiles=((0.5, 0.1),), exceed_count=1, delta=0.5,
-                            m=4, n=8, sample_seed=0, ensemble_seed=None,
-                            abs_distortions=np.array([0.0, 5e-324, 1e300, 1 / 3]))
-    phase = PhaseTransitionResult(
-        n=16, s=2, f=2, cone_kind="subspace", map_kind="circular_convolution",
-        trials=3, delta_success=1e-3, seed=0,
-        cells=(PhaseCell(4, 3, 0), PhaseCell(8, 3, 1), PhaseCell(16, 3, 3)),
-        reference_additive=1.0, reference_multiplicative=2.0)
-    bounds = [compose_bound_report("tensor_conv", 3, 3, 0.5, m) for m in (10, 100, 2000)]
-    cases = [
-        (dist, ("sample_index", "abs_distortion"), list(enumerate(dist.abs_distortions))),
-        (phase, ("M", "rate"), [(c.m, c.rate) for c in phase.cells]),
-        (bounds, ("M", "raw_bound", "clamped_bound"),
-         [(b.m, b.success_probability_lower, b.success_probability_clamped) for b in bounds]),
-    ]
-    for report, columns, rows in cases:
-        emit_plot_data(report, str(tmp_path / "new.csv"))
-        _old_write_csv(str(tmp_path / "old.csv"), [], columns, rows)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -11,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from bilinear_cs import cli
 from bilinear_cs.cli import COMMANDS, main
 
 # one small valid parameter block per command, every key set
@@ -36,9 +37,10 @@ VALID = {
 }
 assert sorted(VALID) == sorted(COMMANDS)
 
-# wrong types, empty lists, zeros and negatives; no large values, so a
-# config that passes its checks stays small
-BAD = st.sampled_from([None, True, "x", 1.5, 0, -1, -0.5, [], [0], [-1, 0], ["x"], {}])
+# wrong types, number strings, NaN, empty lists, zeros and negatives; no
+# large values, so a config that passes its checks stays small
+BAD = st.sampled_from([None, True, "x", "1", float("nan"), 1.5, 0, -1, -0.5, [], [0],
+                       [-1, 0], ["x"], {}])
 
 
 @st.composite
@@ -53,6 +55,12 @@ def parameter_blocks(draw, command):
     if draw(st.booleans()):
         params[draw(st.sampled_from(["unknown", "seed", "Delta"]))] = draw(BAD)
     return params
+
+
+def test_valid_blocks_set_every_field_of_the_table():
+    # a field added to the CLI's table needs a valid value here to be fuzzed
+    for command in COMMANDS:
+        assert VALID[command].keys() == cli._PARAMETERS[command].keys(), command
 
 
 @pytest.mark.parametrize("command", COMMANDS)

