@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
@@ -204,33 +205,37 @@ _KINDS = {
 
 
 # command -> field -> (kind, default, check); a check is a tuple of the
-# allowed values, the least allowed integer, or None
-_MAP = {"map": ("str", REQUIRED, tuple(_CLI_MAPS)), "n": ("int", REQUIRED, None)}
+# allowed values, comparisons such as ">= 1" or "> 0, < 1" that a number
+# (each entry of a list) must pass, or None
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_MAP = {"map": ("str", REQUIRED, tuple(_CLI_MAPS)), "n": ("int", REQUIRED, ">= 1")}
 _CONES = {"i": ("ints", REQUIRED, None), "j": ("ints", REQUIRED, None),
           "cone_x": ("str", SUBSPACE, CONE_KINDS), "cone_y": ("str", SUBSPACE, CONE_KINDS)}
-_ENSEMBLE = {"ensemble": ("str", GAUSSIAN, ENSEMBLE_KINDS), "M": ("int", REQUIRED, None)}
+_ENSEMBLE = {"ensemble": ("str", GAUSSIAN, ENSEMBLE_KINDS), "M": ("int", REQUIRED, ">= 1")}
+_DELTA = ("float", REQUIRED, "> 0, < 1")
 _PARAMETERS = {
     "rnmp": {**_MAP, **_CONES,
              "method": ("str", "grid", ("brute", "alternating", "grid")),
-             "samples": ("int", 10_000, 1), "restarts": ("int", 8, 1),
-             "grid_per_dim": ("int", 64, 3)},
-    "bounds": {"case": ("str", REQUIRED, CASES), "S": ("int", REQUIRED, None),
-               "F": ("int", REQUIRED, None), "delta": ("float", REQUIRED, None),
-               "M": ("int", None, None), "m_grid": ("ints", None, None),
-               "N": ("int", None, None), "alpha": ("float", None, None),
-               "beta": ("float", None, None), "p_target": ("float", None, None),
+             "samples": ("int", 10_000, ">= 1"), "restarts": ("int", 8, ">= 1"),
+             "grid_per_dim": ("int", 64, ">= 3")},
+    "bounds": {"case": ("str", REQUIRED, CASES), "S": ("int", REQUIRED, ">= 2"),
+               "F": ("int", REQUIRED, ">= 2"), "delta": _DELTA,
+               "M": ("int", None, ">= 1"), "m_grid": ("ints", None, ">= 1"),
+               "N": ("int", None, ">= 1"), "alpha": ("float", None, None),
+               "beta": ("float", None, None), "p_target": ("float", None, "> 0, <= 1"),
                "solve_samples": ("int", 0, None)},
-    "rip-mc": {**_MAP, **_CONES, **_ENSEMBLE, "n_samples": ("int", 10_000, 1),
-               "delta": ("float", REQUIRED, None)},
-    "concentration": {"n": ("int", REQUIRED, None), **_ENSEMBLE,
-                      "trials": ("int", REQUIRED, 100),
-                      "delta": ("float", REQUIRED, None), "r": ("floats", None, None)},
-    "recover": {**_MAP, **_CONES, **_ENSEMBLE, "noise_sigma": ("float", 0.0, None),
-                "algorithm": ("str", "iht", ("iht", "oracle")), "k": ("int", None, None),
-                "max_iters": ("int", 500, 1), "tol": ("float", 1e-8, None)},
-    "phase": {**_MAP, "S": ("int", REQUIRED, None), "F": ("int", REQUIRED, None),
-              "cone_kind": ("str", SUBSPACE, CONE_KINDS), "m_grid": ("ints", REQUIRED, None),
-              "trials": ("int", REQUIRED, 1), "delta_success": ("float", 1e-3, None)},
+    "rip-mc": {**_MAP, **_CONES, **_ENSEMBLE, "n_samples": ("int", 10_000, ">= 1"),
+               "delta": _DELTA},
+    "concentration": {"n": ("int", REQUIRED, ">= 1"), **_ENSEMBLE,
+                      "trials": ("int", REQUIRED, ">= 100"), "delta": _DELTA,
+                      "r": ("floats", None, None)},
+    "recover": {**_MAP, **_CONES, **_ENSEMBLE, "noise_sigma": ("float", 0.0, ">= 0"),
+                "algorithm": ("str", "iht", ("iht", "oracle")), "k": ("int", None, ">= 1"),
+                "max_iters": ("int", 500, ">= 1"), "tol": ("float", 1e-8, "> 0")},
+    "phase": {**_MAP, "S": ("int", REQUIRED, ">= 1"), "F": ("int", REQUIRED, ">= 1"),
+              "cone_kind": ("str", SUBSPACE, CONE_KINDS),
+              "m_grid": ("ints", REQUIRED, ">= 1"), "trials": ("int", REQUIRED, ">= 1"),
+              "delta_success": ("float", 1e-3, "> 0")},
 }
 
 
@@ -254,8 +259,10 @@ def _parameters(config: ExperimentConfig) -> dict:
             raise ConfigError(name, f"must be {what}, got {value!r}")
         if isinstance(check, tuple) and value not in check:
             raise ConfigError(name, f"must be one of {check}, got {value!r}")
-        if isinstance(check, int) and value < check:
-            raise ConfigError(name, f"must be >= {check}, got {value}")
+        if isinstance(check, str) and not all(
+                _COMPARE[op](v, float(bound)) for v in (value if kind == "ints" else [value])
+                for op, bound in (c.split() for c in check.split(", "))):
+            raise ConfigError(name, f"must be {check}, got {value!r}")
         p[name] = float(value) if kind == "float" else value
     return p
 
@@ -304,6 +311,8 @@ def _run_bounds(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
     case, s, f, delta, n = p["case"], p["S"], p["F"], p["delta"], p["N"]
     if p["m_grid"] is None and p["M"] is None:
         raise ConfigError("M", "missing required parameter")
+    if n is not None and s * f > n:
+        raise ConfigError("N", f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
     reports = [compose_bound_report(case, s, f, delta, m, n) for m in p["m_grid"] or [p["M"]]]
     payload = ({"reports": [r.to_json() for r in reports]} if p["m_grid"]
                else reports[0].to_json())
@@ -341,11 +350,15 @@ def _run_concentration(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
         r[0] = 1.0
     else:
         r = np.array([float(v) for v in p["r"]])
+        if r.shape != (p["n"],) or not r.any():
+            raise ConfigError("r", f"must be n = {p['n']} numbers, not all 0, got {p['r']!r}")
     return concentration_test(r, ensemble, p["trials"], p["delta"]).to_json(), None
 
 
 def _run_recover(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
     model = BilinearModel(*_map_and_cones(p))
+    if p["k"] is not None and p["k"] > p["M"]:
+        raise ConfigError("k", f"must not exceed M = {p['M']}, got {p['k']}")
     e_seed, s_seed = _two_seeds(seed)
     problem = simulate_problem(model, generate(_ensemble(p, e_seed)), p["noise_sigma"], s_seed)
     if p["algorithm"] == "oracle":
@@ -357,6 +370,9 @@ def _run_recover(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
 
 
 def _run_phase(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+    for key, most in (("S", p["S"]), ("F", p["F"]), ("m_grid", max(p["m_grid"]))):
+        if most > p["n"]:
+            raise ConfigError(key, f"must not exceed n = {p['n']}, got {p[key]!r}")
     spec = BilinearMapSpec(_CLI_MAPS[p["map"]], p["n"])
     result = phase_transition(spec, p["n"], p["S"], p["F"], p["cone_kind"], p["m_grid"],
                               p["trials"], delta_success=p["delta_success"], seed=seed)

@@ -16,14 +16,15 @@ shape (S, F, N)); every estimator works on B in coefficient space.  The
 brute sweep (and `sensing.rip_monte_carlo`) draws (T, S) and (T, F)
 coefficient batches and evaluates them with `apply_restricted_batch`,
 never embedding a sample at length N.  It accumulates the images as
-coordinate rows, one contiguous (T,) row per output coordinate, and hands
-back their (T, N) transpose; the image norms are then sums over those
-rows (`sparse_model.row_norms`), bit for bit np.linalg.norm's.  The
-alternating search runs the min and max runs of all its restarts as one
-lockstep stack (`_alternate`).  The certifier grids one cone and solves
-the other exactly: with the outer argument u fixed, T(u, .) is the
-matrix A(u) = sum_k u_k B_k, whose extreme singular values are the
-extreme ratios over an inner subspace.
+coordinate rows, one per coordinate of the output support (at most S F
+of the N under convolution), and hands back their (T, K) transpose; the
+image norms are sums over those rows (`sparse_model.row_norms`), bit for
+bit np.linalg.norm's at length N.  The alternating search runs the min
+and max runs of all its restarts as one lockstep stack (`_alternate`).
+The certifier grids one cone and solves the other exactly: with the
+outer argument u fixed, T(u, .) is the matrix A(u) = sum_k u_k B_k,
+whose extreme singular values are the extreme ratios over an inner
+subspace.
 
 Three estimators with different trade-offs:
 
@@ -47,6 +48,7 @@ from .sparse_model import (POSITIVE_ORTHANT, ConeSpec, Support, row_norms,
 
 GRID_GUARD = 10 ** 8
 _BATCH = 20_000
+_GRID_CHUNK = 500_000  # floats in a chunk of the certifier's A(u) or squared ratios
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,13 @@ def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.nd
     return images.reshape(s, f, n)
 
 
-def apply_restricted_batch(images: np.ndarray, xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+def apply_restricted_batch(images: np.ndarray, xc: np.ndarray, yc: np.ndarray) -> tuple:
     """Rowwise T(x_t, y_t) from coefficient batches xc (T, S) and yc (T, F)
-    on the support pair of the basis images B = `images`, as a (T, N)
-    F-ordered view: the transpose, not a copy, of the C-ordered (N, T)
-    coordinate rows it accumulates, one contiguous row per coordinate k.
+    on the support pair of the basis images B = `images`: the output
+    support, the K increasing coordinates k where some B[a, b, k] is
+    nonzero (every image is 0 elsewhere), and the images there as a (T, K)
+    F-ordered view, the transpose, not a copy, of the C-ordered (K, T)
+    coordinate rows it accumulates, one contiguous row per coordinate.
 
     Row k sums B[a, b, k] yc[:, b] xc[:, a] in sequence over the nonzeros
     of B[:, :, k] with b ascending, then a: the order in which
@@ -140,12 +144,14 @@ def apply_restricted_batch(images: np.ndarray, xc: np.ndarray, yc: np.ndarray) -
     bits.
     """
     s, f, n = images.shape
-    products = [yc[:, b] * xc[:, a] for b in range(f) for a in range(s)]
     coeffs = images.transpose(1, 0, 2).reshape(f * s, n)  # row b * s + a
-    rows = np.zeros((n, xc.shape[0]))
+    support = np.flatnonzero(coeffs.any(axis=0))
+    coeffs = coeffs[:, support]
+    products = [yc[:, b] * xc[:, a] for b in range(f) for a in range(s)]
+    rows = np.zeros((support.size, xc.shape[0]))
     for k, j in zip(*np.nonzero(coeffs.T)):
         rows[k] += coeffs[j, k] * products[j]
-    return rows.T
+    return support, rows.T
 
 
 def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
@@ -179,7 +185,8 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
         count = min(_BATCH, samples - done)
         xc = unit_cone_coefficients(cone_x, count, rng_x)
         yc = unit_cone_coefficients(cone_y, count, rng_y)
-        r = row_norms(apply_restricted_batch(images, xc, yc))
+        support, zs = apply_restricted_batch(images, xc, yc)
+        r = row_norms(zs, support, spec.ambient_dim)
         i_min = int(np.argmin(r))
         i_max = int(np.argmax(r))
         if r[i_min] < best_min:
@@ -446,7 +453,7 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
 
     best_lo = np.inf
     best_hi = -np.inf
-    chunk = max(1, 4_000_000 // per_point)
+    chunk = max(1, _GRID_CHUNK // per_point)
     for start in range(0, len(us), chunk):
         uc = us[start:start + chunk]
         if exact:

@@ -39,7 +39,7 @@ _SIZE_GUARD = 10 ** 7
 # levels of the |distortion| quantiles a DistortionReport carries
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
-# rows per block of _row_norms
+# rows per block of measured images in rip_monte_carlo
 _NORM_ROWS = 4096
 
 # row k: the two signs of a raw word whose bits 31 and 63 spell k = b31 + 2 b63
@@ -143,15 +143,6 @@ class DistortionReport:
         }
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1), bit for bit, computed in blocks of rows
-    so that the squared copy it makes never spans the whole array.  For
-    the C-ordered measured images Phi z, whose strided columns would make
-    `sparse_model.row_norms` slow."""
-    return np.concatenate([np.linalg.norm(a[i:i + _NORM_ROWS], axis=1)
-                           for i in range(0, a.shape[0], _NORM_ROWS)])
-
-
 def rip_monte_carlo(map_spec: BilinearMapSpec,
                     cone_x: ConeSpec,
                     cone_y: ConeSpec,
@@ -163,10 +154,14 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     |distortion| of the images under one fixed matrix realization.
 
     The pairs are drawn as support coefficients and mapped through the
-    cone pair's basis images (`rnmp.apply_restricted_batch`); only the
-    images are held at full length N, as an F-ordered view whose norms
-    are taken column by column and which is measured as it is (the gemm
-    gives the bits it gives on a C-ordered copy; a test pins this).
+    cone pair's basis images (`rnmp.apply_restricted_batch`) onto their
+    output support, K of the N coordinates, where their norms are taken
+    column by column and Phi z is measured with the K columns of Phi, in
+    blocks of _NORM_ROWS images: no array spans N.  The norms keep the
+    bits of the full-length images; Phi z keeps them while the support
+    lies in one 256-wide block of OpenBLAS's gemm (always at N <= 256)
+    and more than one sample is measured, else it may differ in the
+    last bit.
 
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
     (e.g. orthonormalized rows for the isometry control).  Outputs with
@@ -193,8 +188,9 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     ss_x, ss_y = np.random.SeedSequence(seed).spawn(2)
     xc = unit_cone_coefficients(cone_x, n_samples, np.random.default_rng(ss_x))
     yc = unit_cone_coefficients(cone_y, n_samples, np.random.default_rng(ss_y))
-    zs = apply_restricted_batch(basis_images(map_spec, cone_x.support, cone_y.support), xc, yc)
-    norms = row_norms(zs)
+    support, zs = apply_restricted_batch(
+        basis_images(map_spec, cone_x.support, cone_y.support), xc, yc)
+    norms = row_norms(zs, support, map_spec.ambient_dim)
     keep = norms >= DEGENERATE_NORM
     skipped = int(np.sum(~keep))
     if not np.any(keep):
@@ -203,7 +199,11 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
 
     if skipped:
         zs, norms = zs[keep], norms[keep]
-    image_norms = _row_norms(zs @ phi.T)
+    # the last block takes a lone last row: a one-row product is a gemv
+    phi_t = phi[:, support].T
+    cuts = range(_NORM_ROWS, zs.shape[0] - 1, _NORM_ROWS)
+    image_norms = np.concatenate([np.linalg.norm(block @ phi_t, axis=1)
+                                  for block in np.split(zs, cuts)])
     abs_dist = np.abs(image_norms / norms - 1.0)
     qs = tuple((float(q), float(np.quantile(abs_dist, q))) for q in QUANTILE_LEVELS)
     return DistortionReport(

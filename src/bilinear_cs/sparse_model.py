@@ -9,6 +9,7 @@ are given, so a caller that seeds the generator fixes the draw.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -116,36 +117,46 @@ def is_properly_separated(i_set: Support, j_set: Support) -> bool:
     return support_sum(i_set, j_set).size == i_set.size * j_set.size
 
 
-def _sum_squares(columns: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rowwise sum of columns[:, k]**2 over lo <= k < hi, in the order of
-    numpy's pairwise float sum: in sequence below 8 terms, in eight running
-    sums up to 128 terms, and by halving (at a multiple of 8) above that."""
+def _sum_squares(columns: np.ndarray, positions: list, lo: int, hi: int):
+    """Rowwise sum of the squares of the columns at positions lo <= p < hi
+    (columns[:, c] sits at positions[c], zeros everywhere else), in the
+    order of numpy's pairwise float sum over coordinates lo..hi-1: in
+    sequence below 8 terms, in eight running sums up to 128 terms, and by
+    halving (at a multiple of 8) above that.  A zero square adds an exact
+    0, so the zero coordinates are skipped, and a sum of none is 0.0."""
+    first, last = bisect_left(positions, lo), bisect_left(positions, hi)
+    if first == last:
+        return 0.0
     n = hi - lo
     if n > 128:
         mid = lo + n // 2 - n // 2 % 8
-        out = _sum_squares(columns, lo, mid)
-        out += _sum_squares(columns, mid, hi)
+        out = _sum_squares(columns, positions, lo, mid)
+        out += _sum_squares(columns, positions, mid, hi)
         return out
-    if n < 8:
-        out, rest = np.square(columns[:, lo]), range(lo + 1, hi)
-    else:
-        r = [np.square(columns[:, k]) for k in range(lo, lo + 8)]
-        for k in range(lo + 8, hi - n % 8):
-            r[(k - lo) % 8] += np.square(columns[:, k])
+    out, rest = 0.0, first
+    if n >= 8:
+        rest = bisect_left(positions, hi - n % 8)
+        r = [0.0] * 8
+        for c in range(first, rest):
+            r[(positions[c] - lo) % 8] += np.square(columns[:, c])
         # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
         for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
             r[i] += r[j]
-        out, rest = r[0], range(hi - n % 8, hi)
-    for k in rest:
-        out += np.square(columns[:, k])
+        out = r[0]
+    for c in range(rest, last):
+        out += np.square(columns[:, c])
     return out
 
 
-def row_norms(columns: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1) of a 2-D array a, bit for bit, taken one
-    whole column at a time: no squared copy of a is made, and the columns
-    of an F-ordered a are contiguous."""
-    return np.sqrt(_sum_squares(columns, 0, columns.shape[1]))
+def row_norms(columns: np.ndarray, positions=None, width=None) -> np.ndarray:
+    """np.linalg.norm(a, axis=1), bit for bit, of the (T, width) array a
+    holding columns[:, c] in column positions[c] (increasing) and zeros
+    elsewhere, or of a = columns when no positions are given; taken one
+    column at a time (contiguous if F-ordered): neither a nor its squares are built."""
+    if positions is None:
+        positions, width = range(columns.shape[1]), columns.shape[1]
+    total = _sum_squares(columns, [int(p) for p in positions], 0, width)
+    return np.sqrt(total) if np.ndim(total) else np.zeros(columns.shape[0])
 
 
 def unit_cone_coefficients(cone: ConeSpec, count: int, rng: np.random.Generator) -> np.ndarray:

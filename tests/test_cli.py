@@ -421,6 +421,33 @@ CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
                        "r": [1.0, math.nan, 0.0, 0.0]}, "r"),
     ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": math.nan, "M": 100},
      "delta"),
+    # ranges the table states: n >= 1, delta in (0, 1), noise_sigma >= 0,
+    # bounds S, F >= 2, recover k >= 1, delta_success > 0, tol > 0
+    ("rnmp", {**CONE_PAIR, "n": 0}, "n"),
+    ("phase", {"map": "pointwise", "n": 0, "S": 2, "F": 2, "m_grid": [4], "trials": 1}, "n"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 2.0, "M": 100}, "delta"),
+    ("rip-mc", {**CONE_PAIR, "M": 4, "delta": 1.0}, "delta"),
+    ("concentration", {"n": 8, "M": 4, "trials": 100, "delta": 0.0}, "delta"),
+    ("recover", {**CONE_PAIR, "M": 4, "noise_sigma": -1.0}, "noise_sigma"),
+    ("bounds", {"case": "tensor_conv", "S": 1, "F": 3, "delta": 0.5, "M": 100}, "S"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 0, "delta": 0.5, "M": 100}, "F"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "m_grid": [100, 0]},
+     "m_grid"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
+                "solve_samples": 1, "N": 64, "p_target": 0.0}, "p_target"),
+    ("recover", {**CONE_PAIR, "M": 4, "k": 0}, "k"),
+    ("recover", {**CONE_PAIR, "M": 4, "tol": 0.0}, "tol"),
+    ("phase", {"map": "pointwise", "n": 8, "S": 2, "F": 2, "m_grid": [4], "trials": 1,
+               "delta_success": 0.0}, "delta_success"),
+    # ranges across fields, checked by the handlers
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100, "N": 8}, "N"),
+    ("phase", {"map": "pointwise", "n": 8, "S": 9, "F": 2, "m_grid": [4], "trials": 1}, "S"),
+    ("phase", {"map": "pointwise", "n": 8, "S": 2, "F": 9, "m_grid": [4], "trials": 1}, "F"),
+    ("phase", {"map": "pointwise", "n": 8, "S": 2, "F": 2, "m_grid": [4, 9], "trials": 1},
+     "m_grid"),
+    ("recover", {**CONE_PAIR, "M": 4, "k": 5}, "k"),
+    ("concentration", {"n": 4, "M": 2, "trials": 100, "delta": 0.5, "r": [1.0, 2.0]}, "r"),
+    ("concentration", {"n": 2, "M": 2, "trials": 100, "delta": 0.5, "r": [0.0, 0]}, "r"),
 ])
 def test_out_of_range_count_exits_2_naming_the_field(tmp_path, capsys, command, parameters,
                                                     field):

@@ -37,10 +37,11 @@ VALID = {
 }
 assert sorted(VALID) == sorted(COMMANDS)
 
-# wrong types, number strings, NaN, empty lists, zeros and negatives; no
-# large values, so a config that passes its checks stays small
-BAD = st.sampled_from([None, True, "x", "1", float("nan"), 1.5, 0, -1, -0.5, [], [0],
-                       [-1, 0], ["x"], {}])
+# wrong types, number strings, NaN, empty lists, zeros, negatives, 1.0 and
+# 2.0 (outside the open range of delta) and [1, 9] (above n = 8 for
+# phase); no large values, so a config that passes its checks stays small
+BAD = st.sampled_from([None, True, "x", "1", float("nan"), 1.5, 1.0, 2.0, 0, -1, -0.5, [],
+                       [0], [1, 9], [-1, 0], ["x"], {}])
 
 
 @st.composite

@@ -54,7 +54,9 @@ def test_basis_images_reproduce_map():
             y[j_set.as_array()] = coeffs
             z = np.einsum("a,b,abn->n", x, coeffs, b)
             assert np.allclose(z, apply_map(spec, x, y), atol=1e-9)
-            z = apply_restricted_batch(b, x[None], coeffs[None])[0]
+            support, zk = apply_restricted_batch(b, x[None], coeffs[None])
+            z = np.zeros(n)
+            z[support] = zk[0]
             assert np.allclose(z, apply_map(spec, x, y), atol=1e-9)
 
 
@@ -159,8 +161,12 @@ def test_restricted_batch_matches_c_order_loop_bitwise(n, kind):
         images = basis_images(spec, i_set, j_set)
         xc = rng.standard_normal((300, i_set.size))
         yc = rng.standard_normal((300, j_set.size))
-        z = apply_restricted_batch(images, xc, yc)
-        assert z.flags.f_contiguous and z.base is not None  # a view, not a copy
+        support, zk = apply_restricted_batch(images, xc, yc)
+        assert zk.flags.f_contiguous and zk.base is not None  # a view, not a copy
+        # the support is where some basis image is nonzero
+        assert np.array_equal(support, np.flatnonzero(images.any(axis=(0, 1))))
+        z = np.zeros((300, n))
+        z[:, support] = zk
         assert np.array_equal(z, c_order_restricted(images, xc, yc))
 
 

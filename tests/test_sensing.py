@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,18 +127,51 @@ def dense_distortions(spec, cx, cy, phi, n_samples, seed):
     (8, [0, 2, 3, 6], [2, 3, 5]),
     (13, [1, 2, 5, 8, 12], [0, 2, 5, 9]),
     (64, [3, 7, 8, 20, 41, 42, 63], [7, 8, 11, 20, 50, 63]),
+    # the benchmark's N; the convolution support wraps around and spans 0..255
+    (256, [0, 9, 128, 200, 255], [1, 64, 130, 255]),
 ])
 @pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION])
 @pytest.mark.parametrize("cone_kind", CONE_KINDS)
 def test_rip_monte_carlo_matches_dense_path_bitwise(n, i_idx, j_idx, kind, cone_kind):
     spec = BilinearMapSpec(kind, n)
     cx, cy = cone(n, i_idx, cone_kind), cone(n, j_idx, cone_kind)
-    phi = generate(MeasurementEnsemble(GAUSSIAN, max(2, n // 2), n, n))
+    phi = generate(MeasurementEnsemble(GAUSSIAN, max(2, min(64, n // 2)), n, n))
     rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=20_001, delta=0.5, seed=n)
     want = dense_distortions(spec, cx, cy, phi, 20_001, n)
     assert np.array_equal(rep.abs_distortions, want)
     assert rep.skipped == 0
     assert rep.max_abs_distortion == np.max(want)
+
+
+@pytest.mark.parametrize("n, n_samples", [(512, 5_000), (1024, 5_000), (64, 1)])
+def test_rip_monte_carlo_is_within_an_ulp_of_the_dense_path(n, n_samples):
+    # Phi z sums over the output support, not over all N coordinates.  OpenBLAS
+    # sums a gemm's inner dimension in blocks of 256, and a single-row product
+    # (a gemv) in vector lanes, so skipping the zero coordinates regroups the
+    # sum when the support straddles a block edge, or when one sample is drawn
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, n)
+    cx, cy = cone(n, [1, n // 3, n - 5]), cone(n, [0, 60, n // 2 + 3])
+    phi = generate(MeasurementEnsemble(GAUSSIAN, 64, n, n))
+    rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=n_samples, delta=0.5, seed=n)
+    want = dense_distortions(spec, cx, cy, phi, n_samples, n)
+    assert np.max(np.abs(rep.abs_distortions - want)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_rip_monte_carlo_memory_does_not_grow_with_n(n):
+    # the images are held on their output support (at most 9 coordinates
+    # here), never at length N; the full-length path peaks near 52 MB at
+    # N = 256 and 640 MB at N = 4096
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, n)
+    cx, cy = cone(n, [0, 5, 17]), cone(n, [2, 3, 40])
+    ensemble = MeasurementEnsemble(GAUSSIAN, 64, n, 1)
+    tracemalloc.start()
+    try:
+        rip_monte_carlo(spec, cx, cy, ensemble, n_samples=20_000, delta=0.5, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_rip_monte_carlo_skips_a_degenerate_row(monkeypatch):
@@ -169,7 +203,8 @@ RIP_MC_SHAPES = [(20_000, 256, 64)] + [(1_000 + 50 * c, 64, 16 * (1 + c % 2))
 
 def test_measuring_the_restricted_view_matches_the_c_ordered_product():
     # rip_monte_carlo measures the F-ordered view apply_restricted_batch
-    # returns; the gemm must give the bits it gives on a C-ordered copy
+    # returns, on its support; at the benchmark's shapes the gemm must give
+    # the bits it gives on the full-length images, F- or C-ordered
     rng = np.random.default_rng(0)
     for c, (t, n, m) in enumerate(RIP_MC_SHAPES):
         kind = POINTWISE if c % 2 else CIRCULAR_CONVOLUTION
@@ -177,11 +212,15 @@ def test_measuring_the_restricted_view_matches_the_c_ordered_product():
         j_idx = sorted({i_idx[0], *rng.choice(n, 2, replace=False)})
         images = basis_images(BilinearMapSpec(kind, n), cone(n, i_idx).support,
                               cone(n, j_idx).support)
-        z = apply_restricted_batch(images, rng.standard_normal((t, len(i_idx))),
-                                   rng.standard_normal((t, len(j_idx))))
+        support, zk = apply_restricted_batch(images, rng.standard_normal((t, len(i_idx))),
+                                             rng.standard_normal((t, len(j_idx))))
+        rows = np.zeros((n, t))
+        rows[support] = zk.T
+        z = rows.T
         phi = generate(MeasurementEnsemble(GAUSSIAN, m, n, t))
-        assert z.flags.f_contiguous
+        assert z.flags.f_contiguous and zk.flags.f_contiguous
         assert np.array_equal(z @ phi.T, np.ascontiguousarray(z) @ phi.T), (t, n, m)
+        assert np.array_equal(zk @ phi[:, support].T, z @ phi.T), (t, n, m)
 
 
 def test_rip_monte_carlo_all_degenerate_is_an_error():
