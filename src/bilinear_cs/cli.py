@@ -16,6 +16,7 @@ stderr as a one-line JSON record.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import operator
@@ -28,11 +29,12 @@ import numpy as np
 from . import __version__
 from .bilinear_ops import CIRCULAR_CONVOLUTION, POINTWISE, BilinearMapSpec
 from .bounds import CASES, compose_bound_report, union_bound_samples
-from .recovery import (BilinearModel, iht, model_sparsity, oracle_least_squares,
-                       output_support, phase_transition, simulate_problem)
-from .rnmp import certify_exhaustive, estimate_alternating, estimate_brute
-from .sensing import (ENSEMBLE_KINDS, GAUSSIAN, MeasurementEnsemble,
-                      concentration_test, generate, rip_monte_carlo)
+from .recovery import (BilinearModel, PhaseTransitionResult, RecoveryResult, iht,
+                       model_sparsity, oracle_least_squares, output_support,
+                       phase_transition, simulate_problem)
+from .rnmp import RnmpEstimate, certify_exhaustive, estimate_alternating, estimate_brute
+from .sensing import (ENSEMBLE_KINDS, GAUSSIAN, ConcentrationResult, DistortionReport,
+                      MeasurementEnsemble, concentration_test, generate, rip_monte_carlo)
 from .sparse_model import CONE_KINDS, SUBSPACE, ConeSpec, support_from_indices
 
 SCHEMA_VERSION = 1
@@ -117,7 +119,13 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def json_text(obj) -> str:
-    """JSON with sorted keys and floats at 17 significant digits."""
+    """JSON with sorted keys and floats at 17 significant digits.
+
+    A dataclass is written as its fields, less those marked
+    `field(metadata={"json": False})` (per-sample arrays, which go only to
+    CSV).  A report defines `to_json` only where its JSON renames or nests
+    fields, and is then written as what that method returns.
+    """
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isinf(x) or math.isnan(x):
@@ -146,6 +154,11 @@ def json_text(obj) -> str:
         return "null"
     if isinstance(obj, np.ndarray):
         return json_text(obj.tolist())
+    if hasattr(obj, "to_json"):
+        return json_text(obj.to_json())
+    if dataclasses.is_dataclass(obj):
+        return json_text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                          if f.metadata.get("json", True)})
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -293,10 +306,10 @@ def _two_seeds(seed: int) -> Tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # command handlers: each takes the checked fields and the seed, and
-# returns (json payload, csv table or None)
+# returns (result for json_text, csv table or None)
 
 
-def _run_rnmp(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+def _run_rnmp(p: dict, seed: int) -> Tuple[RnmpEstimate, None]:
     spec, cone_x, cone_y = _map_and_cones(p)
     if p["method"] == "brute":
         est = estimate_brute(spec, cone_x, cone_y, samples=p["samples"], seed=seed)
@@ -304,18 +317,17 @@ def _run_rnmp(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
         est = estimate_alternating(spec, cone_x, cone_y, restarts=p["restarts"], seed=seed)
     else:
         est = certify_exhaustive(spec, cone_x, cone_y, grid_per_dim=p["grid_per_dim"])
-    return est.to_json(), None
+    return est, None
 
 
-def _run_bounds(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+def _run_bounds(p: dict, seed: int) -> Tuple[dict, _Table]:
     case, s, f, delta, n = p["case"], p["S"], p["F"], p["delta"], p["N"]
     if p["m_grid"] is None and p["M"] is None:
         raise ConfigError("M", "missing required parameter")
     if n is not None and s * f > n:
         raise ConfigError("N", f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
     reports = [compose_bound_report(case, s, f, delta, m, n) for m in p["m_grid"] or [p["M"]]]
-    payload = ({"reports": [r.to_json() for r in reports]} if p["m_grid"]
-               else reports[0].to_json())
+    payload = {"reports": reports} if p["m_grid"] else reports[0].to_json()
 
     for key in ("alpha", "beta"):
         claimed, actual = p[key], getattr(reports[0], key)
@@ -327,23 +339,23 @@ def _run_bounds(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
             if p[key] is None:
                 raise ConfigError(key, "required when solve_samples is set")
         payload["sample_count"] = union_bound_samples(
-            n, s, f, delta, p["p_target"], case).to_json()
+            n, s, f, delta, p["p_target"], case)
 
     return payload, {"M": [b.m for b in reports],
                      "raw_bound": [b.success_probability_lower for b in reports],
                      "clamped_bound": [b.success_probability_clamped for b in reports]}
 
 
-def _run_rip_mc(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+def _run_rip_mc(p: dict, seed: int) -> Tuple[DistortionReport, _Table]:
     spec, cone_x, cone_y = _map_and_cones(p)
     e_seed, s_seed = _two_seeds(seed)
     report = rip_monte_carlo(spec, cone_x, cone_y, _ensemble(p, e_seed), p["n_samples"],
                              p["delta"], s_seed)
-    return report.to_json(), {"sample_index": range(report.abs_distortions.size),
+    return report, {"sample_index": range(report.abs_distortions.size),
                               "abs_distortion": report.abs_distortions}
 
 
-def _run_concentration(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+def _run_concentration(p: dict, seed: int) -> Tuple[ConcentrationResult, None]:
     ensemble = _ensemble(p, seed)
     if p["r"] is None:
         r = np.zeros(p["n"])
@@ -352,10 +364,10 @@ def _run_concentration(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
         r = np.array([float(v) for v in p["r"]])
         if r.shape != (p["n"],) or not r.any():
             raise ConfigError("r", f"must be n = {p['n']} numbers, not all 0, got {p['r']!r}")
-    return concentration_test(r, ensemble, p["trials"], p["delta"]).to_json(), None
+    return concentration_test(r, ensemble, p["trials"], p["delta"]), None
 
 
-def _run_recover(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+def _run_recover(p: dict, seed: int) -> Tuple[RecoveryResult, None]:
     model = BilinearModel(*_map_and_cones(p))
     if p["k"] is not None and p["k"] > p["M"]:
         raise ConfigError("k", f"must not exceed M = {p['M']}, got {p['k']}")
@@ -366,25 +378,25 @@ def _run_recover(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
     else:
         k = model_sparsity(model) if p["k"] is None else p["k"]
         result = iht(problem, k, max_iters=p["max_iters"], tol=p["tol"])
-    return result.to_json(), None
+    return result, None
 
 
-def _run_phase(p: dict, seed: int) -> Tuple[dict, Optional[_Table]]:
+def _run_phase(p: dict, seed: int) -> Tuple[PhaseTransitionResult, _Table]:
     for key, most in (("S", p["S"]), ("F", p["F"]), ("m_grid", max(p["m_grid"]))):
         if most > p["n"]:
             raise ConfigError(key, f"must not exceed n = {p['n']}, got {p[key]!r}")
     spec = BilinearMapSpec(_CLI_MAPS[p["map"]], p["n"])
-    result = phase_transition(spec, p["n"], p["S"], p["F"], p["cone_kind"], p["m_grid"],
-                              p["trials"], delta_success=p["delta_success"], seed=seed)
+    result = phase_transition(spec, p["S"], p["F"], p["cone_kind"], p["m_grid"], p["trials"],
+                              delta_success=p["delta_success"], seed=seed)
     cells = result.cells
-    return result.to_json(), {
+    return result, {
         "N": [result.n] * len(cells), "S": [result.s] * len(cells),
         "F": [result.f] * len(cells), "cone_kind": [result.cone_kind] * len(cells),
         "M": [c.m for c in cells], "trials": [c.trials for c in cells],
         "successes": [c.successes for c in cells], "rate": [c.rate for c in cells]}
 
 
-_HANDLERS: Dict[str, Callable[[dict, int], Tuple[dict, Optional[_Table]]]] = {
+_HANDLERS: Dict[str, Callable[[dict, int], Tuple[object, Optional[_Table]]]] = {
     "rnmp": _run_rnmp,
     "bounds": _run_bounds,
     "rip-mc": _run_rip_mc,
@@ -413,7 +425,7 @@ def run(config: ExperimentConfig) -> int:
             {"error": {"kind": "config", "field": exc.field,
                        "message": exc.message}}) + "\n")
         return 2
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         sys.stderr.write(json.dumps(
             {"error": {"kind": "runtime", "message": str(exc)}}) + "\n")
         return 1

@@ -23,18 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bilinear_ops import (BilinearMapSpec, CIRCULAR_CONVOLUTION, POINTWISE,
                            apply_map)
 from .sensing import GAUSSIAN, _draw
-from .sparse_model import (CONE_KINDS, ConeSpec, Support, support_from_indices,
-                           support_sum, unit_cone_directions)
-
-# images with norm below this are treated as degenerate draws
-_NULL_IMAGE = 1e-12
+from .sparse_model import (CONE_KINDS, DEGENERATE_NORM, ConeSpec, Support,
+                           support_from_indices, support_sum, unit_cone_directions)
 
 # fresh support pairs are redrawn at most this many times per trial
 _MAX_REDRAWS = 100
@@ -58,12 +55,6 @@ class BilinearModel:
         n = self.map_spec.ambient_dim
         if self.cone_x.ambient_dim != n or self.cone_y.ambient_dim != n:
             raise ValueError("cone ambient dimensions must match the map's")
-
-    def to_json(self) -> dict:
-        return {"map_kind": self.map_spec.kind,
-                "n": self.map_spec.ambient_dim,
-                "cone_x": self.cone_x.to_json(),
-                "cone_y": self.cone_y.to_json()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,19 +102,6 @@ class RecoveryResult:
 
     def __post_init__(self):
         self.z_hat.setflags(write=False)
-
-    def to_json(self) -> dict:
-        return {
-            "z_hat": [float(v) for v in self.z_hat],
-            "support_hat": None if self.support_hat is None
-            else self.support_hat.to_json(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "relative_error": self.relative_error,
-            "converged": self.converged,
-            "diverged": self.diverged,
-            "rank_deficient": self.rank_deficient,
-        }
 
 
 def output_support(model: BilinearModel) -> Support:
@@ -323,12 +301,12 @@ def _iht_stack(phi: np.ndarray, y: np.ndarray, k: np.ndarray, mu: np.ndarray,
 
 
 def iht(problem: RecoveryProblem, k: int, max_iters: int = _MAX_ITERS,
-        step: Union[float, str] = "adaptive", tol: float = _TOL) -> RecoveryResult:
-    """Iterative hard thresholding: z <- H_k(z + step Phi^T (y - Phi z)).
+        tol: float = _TOL) -> RecoveryResult:
+    """Iterative hard thresholding: z <- H_k(z + mu Phi^T (y - Phi z)).
 
     Stops when the update norm drops below tol * |z| or after max_iters.
     A residual that grows tenfold over a 50-iteration window flags the
-    run as diverged.  step="adaptive" uses 1 / |Phi|^2 from 30 power
+    run as diverged.  The step mu is 1 / |Phi|^2 from 30 power
     iterations.  The solve is a stack of one through `_iht_stack`, the
     loop that also solves a phase cell's trials.
     """
@@ -338,15 +316,8 @@ def iht(problem: RecoveryProblem, k: int, max_iters: int = _MAX_ITERS,
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k > m:
         raise ValueError(f"k={k} exceeds {m} measurements")
-    if step == "adaptive":
-        mu = _adaptive_step(phi)
-    else:
-        mu = float(step)
-        if mu <= 0:
-            raise ValueError(f"step must be positive, got {step}")
-
     z, iterations, converged, diverged = _iht_stack(
-        phi[None], y[None], np.array([k]), np.array([mu]), max_iters, tol)
+        phi[None], y[None], np.array([k]), np.array([_adaptive_step(phi)]), max_iters, tol)
     return _finish(z[0], phi, y, problem, iterations=iterations[0],
                    converged=converged[0], diverged=diverged[0])
 
@@ -404,22 +375,12 @@ class PhaseTransitionResult:
     reference_additive: float
     reference_multiplicative: float
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n, "s": self.s, "f": self.f,
-            "cone_kind": self.cone_kind, "map_kind": self.map_kind,
-            "trials": self.trials, "delta_success": self.delta_success,
-            "seed": self.seed,
-            "cells": [c.to_json() for c in self.cells],
-            "reference_additive": self.reference_additive,
-            "reference_multiplicative": self.reference_multiplicative,
-        }
 
-
-def phase_transition(map_spec: BilinearMapSpec, n: int, s: int, f: int,
-                     cone_kind: str, m_grid: Sequence[int], trials: int,
-                     delta_success: float = 1e-3, seed: int = 0) -> PhaseTransitionResult:
-    """Empirical success rate of IHT recovery as M sweeps a grid.
+def phase_transition(map_spec: BilinearMapSpec, s: int, f: int, cone_kind: str,
+                     m_grid: Sequence[int], trials: int, delta_success: float = 1e-3,
+                     seed: int = 0) -> PhaseTransitionResult:
+    """Empirical success rate of IHT recovery as M sweeps a grid, at the
+    map's ambient dimension N.
 
     Each trial draws a fresh support pair, fresh unit cone samples, a
     fresh gaussian matrix, and recovers with K = model_sparsity.
@@ -434,8 +395,7 @@ def phase_transition(map_spec: BilinearMapSpec, n: int, s: int, f: int,
     stream, so drawing ahead changes no draw, and the stack gives every
     trial the bits a lone `iht` run gives it.
     """
-    if map_spec.ambient_dim != n:
-        raise ValueError(f"map ambient dim {map_spec.ambient_dim} != n={n}")
+    n = map_spec.ambient_dim
     if cone_kind not in CONE_KINDS:
         raise ValueError(f"cone_kind must be one of {CONE_KINDS}, got {cone_kind!r}")
     if not m_grid:
@@ -460,7 +420,7 @@ def phase_transition(map_spec: BilinearMapSpec, n: int, s: int, f: int,
                 x = unit_cone_directions(cone_x, 1, rng)[0]
                 y_vec = unit_cone_directions(cone_y, 1, rng)[0]
                 z = apply_map(map_spec, x, y_vec)
-                if np.linalg.norm(z) >= _NULL_IMAGE:
+                if np.linalg.norm(z) >= DEGENERATE_NORM:
                     break
             else:
                 raise ValueError("could not draw a nondegenerate sample pair "

@@ -43,8 +43,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bilinear_ops import BilinearMapSpec, apply_map, apply_map_batch
-from .sparse_model import (POSITIVE_ORTHANT, ConeSpec, Support, row_norms,
-                           unit_cone_coefficients)
+from .sparse_model import (DEGENERATE_NORM, POSITIVE_ORTHANT, ConeSpec, Support,
+                           row_norms, unit_cone_coefficients)
 
 GRID_GUARD = 10 ** 8
 _BATCH = 20_000
@@ -291,7 +291,7 @@ def _starts(cone_x: ConeSpec, cone_y: ConeSpec, restarts: int, seed: int):
     starts, degenerate = [], np.zeros(restarts, dtype=bool)
     for part, cone in ((g[:, :s], cone_x), (g[:, s:], cone_y)):
         norms = row_norms(part)
-        degenerate |= norms < 1e-12
+        degenerate |= norms < DEGENERATE_NORM
         with np.errstate(divide="ignore", invalid="ignore"):
             unit = part / norms[:, None]
         starts.append(np.abs(unit) if cone.kind == POSITIVE_ORTHANT else unit)

@@ -16,7 +16,7 @@ here; the stream layout is what makes parallel runs legal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -24,14 +24,11 @@ import numpy as np
 from .bilinear_ops import BilinearMapSpec
 from .bounds import c0
 from .rnmp import apply_restricted_batch, basis_images
-from .sparse_model import ConeSpec, row_norms, unit_cone_coefficients
+from .sparse_model import DEGENERATE_NORM, ConeSpec, row_norms, unit_cone_coefficients
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
 ENSEMBLE_KINDS = (GAUSSIAN, RADEMACHER)
-
-# below this output norm a sample is counted as degenerate and skipped
-DEGENERATE_NORM = 1e-12
 
 # dense Phi guard: M*N entries materialized
 _SIZE_GUARD = 10 ** 7
@@ -71,10 +68,6 @@ class MeasurementEnsemble:
             raise ValueError(
                 f"{self.rows}x{self.cols} exceeds the dense-matrix guard ({_SIZE_GUARD} entries)")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "rows": self.rows, "cols": self.cols,
-                "seed": self.seed}
-
 
 def _draw(kind: str, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     if kind == GAUSSIAN:
@@ -105,8 +98,8 @@ class DistortionReport:
     """Monte Carlo distortion statistics for one fixed matrix.
 
     `n_samples` counts evaluated samples; `skipped` the degenerate draws
-    (output norm below 1e-12).  `quantiles` are (q, value) pairs of
-    |distortion|; `exceed_count` is how many samples had |distortion| >
+    (output norm below DEGENERATE_NORM).  `quantiles` are (q, value) pairs
+    of |distortion|; `exceed_count` is how many samples had |distortion| >
     delta.  The raw per-sample |distortion| array rides along for
     plotting but stays out of the JSON payload.
     """
@@ -121,26 +114,12 @@ class DistortionReport:
     n: int
     sample_seed: int
     ensemble_seed: Optional[int]
-    abs_distortions: np.ndarray
+    abs_distortions: np.ndarray = field(metadata={"json": False})
 
     def __post_init__(self):
         if self.exceed_count > self.n_samples:
             raise ValueError("exceed_count cannot exceed n_samples")
         self.abs_distortions.setflags(write=False)
-
-    def to_json(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "skipped": self.skipped,
-            "max_abs_distortion": self.max_abs_distortion,
-            "quantiles": [[q, v] for q, v in self.quantiles],
-            "exceed_count": self.exceed_count,
-            "delta": self.delta,
-            "m": self.m,
-            "n": self.n,
-            "sample_seed": self.sample_seed,
-            "ensemble_seed": self.ensemble_seed,
-        }
 
 
 def rip_monte_carlo(map_spec: BilinearMapSpec,
@@ -165,8 +144,8 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
 
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
     (e.g. orthonormalized rows for the isometry control).  Outputs with
-    norm below 1e-12 are skipped and counted; if everything degenerates
-    that's an error, not an empty report.
+    norm below DEGENERATE_NORM are skipped and counted; if everything
+    degenerates that's an error, not an empty report.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -194,7 +173,7 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     keep = norms >= DEGENERATE_NORM
     skipped = int(np.sum(~keep))
     if not np.any(keep):
-        raise ValueError("all sampled outputs were degenerate (norm < 1e-12); "
+        raise ValueError(f"all sampled outputs were degenerate (norm < {DEGENERATE_NORM}); "
                          "the cone pair looks null under this map")
 
     if skipped:
@@ -238,24 +217,13 @@ class ConcentrationResult:
     delta: float
     m: int
     seed: int
-    ratios: np.ndarray
+    ratios: np.ndarray = field(metadata={"json": False})
 
     def __post_init__(self):
         self.ratios.setflags(write=False)
 
     def __iter__(self):
         return iter((self.empirical_rate, self.theory_rate))
-
-    def to_json(self) -> dict:
-        return {
-            "empirical_rate": self.empirical_rate,
-            "theory_rate": self.theory_rate,
-            "violations": self.violations,
-            "trials": self.trials,
-            "delta": self.delta,
-            "m": self.m,
-            "seed": self.seed,
-        }
 
 
 def concentration_test(r: np.ndarray,

@@ -19,6 +19,9 @@ SUBSPACE = "subspace"
 POSITIVE_ORTHANT = "positive_orthant"
 CONE_KINDS = (SUBSPACE, POSITIVE_ORTHANT)
 
+# below this norm a drawn vector or image is degenerate: redrawn or skipped
+DEGENERATE_NORM = 1e-12
+
 
 @dataclass(frozen=True)
 class Support:
@@ -79,13 +82,6 @@ class ConeSpec:
     @property
     def ambient_dim(self) -> int:
         return self.support.ambient_dim
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.support.ambient_dim,
-            "indices": list(self.support.indices),
-            "kind": self.kind,
-        }
 
 
 def support_from_indices(indices: Iterable[int], n: int) -> Support:
@@ -171,8 +167,8 @@ def unit_cone_coefficients(cone: ConeSpec, count: int, rng: np.random.Generator)
     g = rng.standard_normal((count, s))
     norms = row_norms(g)
     # resample the (measure-zero) degenerate rows
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
+    while np.any(norms < DEGENERATE_NORM):
+        bad = norms < DEGENERATE_NORM
         g[bad] = rng.standard_normal((int(bad.sum()), s))
         norms = row_norms(g)
     g /= norms[:, None]

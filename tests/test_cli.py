@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from bilinear_cs import __version__, cli, rnmp
+from bilinear_cs.bilinear_ops import CIRCULAR_CONVOLUTION, BilinearMapSpec
 from bilinear_cs.bounds import union_bound_samples
 from bilinear_cs.cli import ConfigError, ExperimentConfig, json_text, load_config, main, run
+from bilinear_cs.recovery import (BilinearModel, RecoveryProblem, iht, oracle_least_squares,
+                                  output_support, phase_transition, simulate_problem)
+from bilinear_cs.sensing import (GAUSSIAN, RADEMACHER, MeasurementEnsemble,
+                                 concentration_test, generate, orthonormal_rows,
+                                 rip_monte_carlo)
+from bilinear_cs.sparse_model import SUBSPACE, ConeSpec, support_from_indices
 
 
 def write_config(tmp_path, name, body):
@@ -476,6 +483,23 @@ def test_bound_overflow_exits_1_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_unallocatable_arrays_exit_1_without_traceback(tmp_path, capsys):
+    # the (1, 1, N) basis images at N = 10**14 ask for 728 TiB, beyond any
+    # address space, so numpy fails at once without allocating
+    body = {
+        "schema": 1,
+        "command": "rnmp",
+        "parameters": {"map": "circular_convolution", "n": 10 ** 14, "i": [0], "j": [0]},
+        "output": str(tmp_path / "out.json"),
+    }
+    path = write_config(tmp_path, "cfg.json", body)
+    assert main(["--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["kind"] == "runtime"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_csv_without_schema_exits_2(tmp_path, capsys):
     body = {
         "schema": 1,
@@ -607,3 +631,152 @@ def test_csv_commands_match_row_writer_bytes(tmp_path, monkeypatch, command, par
                    columns, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+
+
+# the to_json methods that json_text's dataclass rule replaced, kept as the
+# byte reference for each report's JSON
+
+
+def _old_distortion_json(rep):
+    return {
+        "n_samples": rep.n_samples,
+        "skipped": rep.skipped,
+        "max_abs_distortion": rep.max_abs_distortion,
+        "quantiles": [[q, v] for q, v in rep.quantiles],
+        "exceed_count": rep.exceed_count,
+        "delta": rep.delta,
+        "m": rep.m,
+        "n": rep.n,
+        "sample_seed": rep.sample_seed,
+        "ensemble_seed": rep.ensemble_seed,
+    }
+
+
+def _old_concentration_json(res):
+    return {
+        "empirical_rate": res.empirical_rate,
+        "theory_rate": res.theory_rate,
+        "violations": res.violations,
+        "trials": res.trials,
+        "delta": res.delta,
+        "m": res.m,
+        "seed": res.seed,
+    }
+
+
+def _old_recovery_json(res):
+    return {
+        "z_hat": [float(v) for v in res.z_hat],
+        "support_hat": None if res.support_hat is None else res.support_hat.to_json(),
+        "iterations": res.iterations,
+        "residual": res.residual,
+        "relative_error": res.relative_error,
+        "converged": res.converged,
+        "diverged": res.diverged,
+        "rank_deficient": res.rank_deficient,
+    }
+
+
+def _old_phase_json(res):
+    return {
+        "n": res.n, "s": res.s, "f": res.f,
+        "cone_kind": res.cone_kind, "map_kind": res.map_kind,
+        "trials": res.trials, "delta_success": res.delta_success,
+        "seed": res.seed,
+        "cells": [{"m": c.m, "trials": c.trials, "successes": c.successes, "rate": c.rate}
+                  for c in res.cells],
+        "reference_additive": res.reference_additive,
+        "reference_multiplicative": res.reference_multiplicative,
+    }
+
+
+def _reports():
+    """(report, reference writer) pairs, with the cases no benchmark config
+    reaches: an explicit matrix, z_hat = 0, and a phase cell whose trials
+    were all skipped."""
+    conv8 = BilinearMapSpec(CIRCULAR_CONVOLUTION, 8)
+    conv32 = BilinearMapSpec(CIRCULAR_CONVOLUTION, 32)
+    cx, cy = (ConeSpec(support_from_indices(i, 8), SUBSPACE) for i in ([0, 1], [0, 4]))
+    model = BilinearModel(conv8, cx, cy)
+    phi = generate(MeasurementEnsemble(GAUSSIAN, 6, 8, 3))
+    problem = simulate_problem(model, phi, noise_sigma=1e-3, seed=2)
+    zero = RecoveryProblem(phi=phi, y=np.zeros(6), model=model)
+    return [
+        (rip_monte_carlo(conv8, cx, cy, MeasurementEnsemble(RADEMACHER, 4, 8, 5), 60, 0.3,
+                         1), _old_distortion_json),
+        (rip_monte_carlo(conv8, cx, cy, orthonormal_rows(8, 8, 2), 30, 0.5, 0),
+         _old_distortion_json),
+        (concentration_test(np.arange(1.0, 9.0), MeasurementEnsemble(GAUSSIAN, 4, 8, 7),
+                            100, 0.5), _old_concentration_json),
+        (concentration_test(np.ones(8), MeasurementEnsemble(RADEMACHER, 4, 8, 7), 100, 0.5),
+         _old_concentration_json),
+        (iht(problem, 4), _old_recovery_json),
+        (oracle_least_squares(problem, output_support(model)), _old_recovery_json),
+        (iht(zero, 2), _old_recovery_json),
+        (phase_transition(conv8, 2, 2, SUBSPACE, [2, 4, 8], 3, seed=1), _old_phase_json),
+        (phase_transition(conv32, 4, 4, SUBSPACE, [3], 4), _old_phase_json),
+    ]
+
+
+def test_report_json_matches_to_json_bytes():
+    reports = _reports()
+    for report, old_json in reports:
+        assert json_text(report) == json_text(old_json(report)), type(report).__name__
+    edge = [report for report, _ in reports]
+    assert edge[1].ensemble_seed is None
+    assert edge[6].support_hat is None and edge[6].relative_error is None
+    assert edge[8].cells[0].successes == 0
+
+
+# the frozen key paths of each command's JSON result: a new field of a
+# report shows up here as a deliberate schema change
+RESULT_KEYS = {
+    "rnmp": ({"map": "circular_convolution", "n": 4, "i": [0, 2], "j": [0, 2]},
+             "alpha_est alpha_lower alpha_upper alpha_witness_x alpha_witness_y beta_est "
+             "beta_lower beta_upper beta_witness_x beta_witness_y cone_kinds converged "
+             "covering_radius method outer_points restarts support_x support_x.indices "
+             "support_x.n support_y support_y.indices support_y.n tol"),
+    "bounds": ({"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 2000,
+                "solve_samples": 1, "p_target": 1e-3, "N": 64},
+               "c0 covering_x covering_y d inputs inputs.alpha inputs.beta inputs.case "
+               "inputs.delta inputs.f inputs.m inputs.n inputs.s sample_count "
+               "sample_count.inputs sample_count.inputs.case sample_count.inputs.delta "
+               "sample_count.inputs.f sample_count.inputs.n sample_count.inputs.p_target "
+               "sample_count.inputs.s sample_count.log_pairs_exact "
+               "sample_count.log_pairs_loose sample_count.m sample_count.m_loose "
+               "success_probability_clamped success_probability_lower"),
+    "rip-mc": ({**CONE_PAIR, "M": 4, "n_samples": 50, "delta": 0.5},
+               "delta ensemble_seed exceed_count m max_abs_distortion n n_samples quantiles "
+               "sample_seed skipped"),
+    "concentration": ({"n": 8, "M": 4, "trials": 100, "delta": 0.5},
+                      "delta empirical_rate m seed theory_rate trials violations"),
+    "recover": ({**CONE_PAIR, "M": 8},
+                "converged diverged iterations rank_deficient relative_error residual "
+                "support_hat support_hat.indices support_hat.n z_hat"),
+    "phase": ({"map": "circular_convolution", "n": 8, "S": 2, "F": 2, "m_grid": [4, 8],
+               "trials": 2},
+              "cells cells[].m cells[].rate cells[].successes cells[].trials cone_kind "
+              "delta_success f map_kind n reference_additive reference_multiplicative s "
+              "seed trials"),
+}
+
+
+def _key_paths(obj, prefix=""):
+    """Dotted paths of every key in a JSON document; list entries as []."""
+    if isinstance(obj, dict):
+        return set().union(*({prefix + k} | _key_paths(v, prefix + k + ".")
+                             for k, v in obj.items()))
+    if isinstance(obj, list):
+        return set().union(*(_key_paths(v, prefix[:-1] + "[].") for v in obj))
+    return set()
+
+
+@pytest.mark.parametrize("command", sorted(RESULT_KEYS))
+def test_result_keys_are_frozen(tmp_path, command):
+    parameters, keys = RESULT_KEYS[command]
+    path = write_config(tmp_path, "cfg.json", {
+        "schema": 1, "command": command, "parameters": parameters,
+        "output": str(tmp_path / "out.json")})
+    assert main(["--config", path]) == 0
+    result = json.loads((tmp_path / "out.json").read_text())["result"]
+    assert sorted(_key_paths(result)) == keys.split()

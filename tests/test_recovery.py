@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, dft_unitary)
-from bilinear_cs import recovery
+from bilinear_cs import cli, recovery
 from bilinear_cs.recovery import (BilinearModel, PhaseCell, RecoveryProblem,
                                   iht, model_sparsity, oracle_least_squares,
                                   output_support, phase_transition,
@@ -41,15 +43,11 @@ def spearman(x, y):
     return float(np.dot(rx, ry) / np.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
 
 
-def test_model_validation_and_json():
+def test_model_validation():
     with pytest.raises(ValueError):
         BilinearModel(BilinearMapSpec(CIRCULAR_CONVOLUTION, 8),
                       ConeSpec(support_from_indices([0], 8), SUBSPACE),
                       ConeSpec(support_from_indices([0], 16), SUBSPACE))
-    model = conv_model(8, [0, 1], [0, 4])
-    j = model.to_json()
-    assert j["map_kind"] == CIRCULAR_CONVOLUTION
-    assert j["cone_x"]["indices"] == [0, 1]
 
 
 def test_output_support_and_budget():
@@ -167,8 +165,6 @@ def test_iht_validation():
         iht(prob, 9)
     with pytest.raises(ValueError):
         iht(prob, 5)  # k > m
-    with pytest.raises(ValueError):
-        iht(prob, 2, step=-1.0)
 
 
 def test_iht_identity_matrix_recovers_in_two_steps():
@@ -205,9 +201,10 @@ def test_iht_flags_divergence_with_oversized_step():
     model = conv_model(32, [0, 1], [0, 8])
     phi = _draw(GAUSSIAN, 24, 32, np.random.default_rng(2))
     prob = simulate_problem(model, phi, seed=5)
-    out = iht(prob, 4, step=10.0)
-    assert out.diverged
-    assert not out.converged
+    _, _, converged, diverged = recovery._iht_stack(
+        phi[None], prob.y[None], np.array([4]), np.array([10.0]), 500, 1e-8)
+    assert diverged[0]
+    assert not converged[0]
 
 
 def stable_top_k(v, k):
@@ -246,13 +243,19 @@ def test_iht_matches_two_product_loop_bitwise():
     for seed in range(4):
         phi = _draw(GAUSSIAN, 12 + 4 * seed, 32, np.random.default_rng(seed))
         prob = simulate_problem(model, phi, noise_sigma=1e-3 * seed, seed=seed)
-        for step, max_iters in (("adaptive", 500), (10.0, 500), ("adaptive", 7)):
-            mu = recovery._adaptive_step(phi) if step == "adaptive" else step
-            z, its, converged, diverged = two_product_iht(phi, prob.y, 4, mu, max_iters)
-            out = iht(prob, 4, max_iters=max_iters, step=step)
+        for max_iters in (500, 7):
+            z, its, converged, diverged = two_product_iht(
+                phi, prob.y, 4, recovery._adaptive_step(phi), max_iters)
+            out = iht(prob, 4, max_iters=max_iters)
             assert np.array_equal(out.z_hat, z)
             assert (out.iterations, out.converged, out.diverged) == (its, converged, diverged)
             assert out.residual == float(np.linalg.norm(phi @ z - prob.y))
+        # a fixed step, through the loop iht runs
+        z, its, converged, diverged = two_product_iht(phi, prob.y, 4, 10.0, 500)
+        got = recovery._iht_stack(phi[None], prob.y[None], np.array([4]), np.array([10.0]),
+                                  500, 1e-8)
+        assert np.array_equal(got[0][0], z)
+        assert tuple(v[0] for v in got[1:]) == (its, converged, diverged)
 
 
 def test_iht_stack_matches_lone_runs_bitwise():
@@ -343,23 +346,21 @@ def test_phase_cell_rate():
 def test_phase_transition_validation():
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
     with pytest.raises(ValueError):
-        phase_transition(spec, 32, 2, 2, SUBSPACE, (4,), 5)  # dim mismatch
+        phase_transition(spec, 2, 2, "cone", (4,), 5)
     with pytest.raises(ValueError):
-        phase_transition(spec, 16, 2, 2, "cone", (4,), 5)
+        phase_transition(spec, 2, 2, SUBSPACE, (), 5)
     with pytest.raises(ValueError):
-        phase_transition(spec, 16, 2, 2, SUBSPACE, (), 5)
+        phase_transition(spec, 2, 2, SUBSPACE, (17,), 5)
     with pytest.raises(ValueError):
-        phase_transition(spec, 16, 2, 2, SUBSPACE, (17,), 5)
+        phase_transition(spec, 2, 2, SUBSPACE, (4,), 0)
     with pytest.raises(ValueError):
-        phase_transition(spec, 16, 2, 2, SUBSPACE, (4,), 0)
-    with pytest.raises(ValueError):
-        phase_transition(spec, 16, 2, 17, SUBSPACE, (4,), 5)
+        phase_transition(spec, 2, 17, SUBSPACE, (4,), 5)
 
 
 def test_phase_transition_deterministic():
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
-    a = phase_transition(spec, 16, 2, 2, SUBSPACE, (8, 16), 5, seed=3)
-    b = phase_transition(spec, 16, 2, 2, SUBSPACE, (8, 16), 5, seed=3)
+    a = phase_transition(spec, 2, 2, SUBSPACE, (8, 16), 5, seed=3)
+    b = phase_transition(spec, 2, 2, SUBSPACE, (8, 16), 5, seed=3)
     assert [c.successes for c in a.cells] == [c.successes for c in b.cells]
     rates = np.array([c.rate for c in a.cells])
     assert np.all(rates >= 0.0) and np.all(rates <= 1.0)
@@ -367,10 +368,10 @@ def test_phase_transition_deterministic():
 
 def test_phase_transition_references_and_json():
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
-    res = phase_transition(spec, 16, 2, 3, SUBSPACE, (8,), 2, seed=0)
+    res = phase_transition(spec, 2, 3, SUBSPACE, (8,), 2, seed=0)
     assert res.reference_additive == pytest.approx(5 * np.log(16))
     assert res.reference_multiplicative == pytest.approx(6 * np.log(16))
-    j = res.to_json()
+    j = json.loads(cli.json_text(res))
     assert j["cells"][0]["m"] == 8
     assert j["map_kind"] == CIRCULAR_CONVOLUTION
 
@@ -379,14 +380,14 @@ def test_phase_transition_undersampled_budget_counts_as_failure():
     # the sumset of two 4-sets has at least 4 elements, so M = 3 can
     # never carry the restricted model: the rate must be exactly zero
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 32)
-    res = phase_transition(spec, 32, 4, 4, SUBSPACE, (3,), 4, seed=0)
+    res = phase_transition(spec, 4, 4, SUBSPACE, (3,), 4, seed=0)
     assert res.cells[0].rate == 0.0
 
 
 def test_phase_transition_rate_climbs_with_m():
     # frozen sweep: rates (0, 0, 0.25, 0.9) at seed 1, rank correlation 0.9487
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 32)
-    res = phase_transition(spec, 32, 2, 2, SUBSPACE, (4, 8, 16, 32), 20, seed=1)
+    res = phase_transition(spec, 2, 2, SUBSPACE, (4, 8, 16, 32), 20, seed=1)
     rates = np.array([c.rate for c in res.cells])
     assert rates[-1] >= 0.7
     assert spearman([4, 8, 16, 32], rates) >= 0.9
@@ -428,7 +429,7 @@ def reference_phase_successes(spec, n, s, f, cone_kind, m_grid, trials,
 def test_phase_transition_matches_per_trial_reference(map_kind, cone_kind):
     spec = BilinearMapSpec(map_kind, 32)
     m_grid = (4, 8, 16, 32)
-    res = phase_transition(spec, 32, 2, 2, cone_kind, m_grid, 20, seed=0)
+    res = phase_transition(spec, 2, 2, cone_kind, m_grid, 20, seed=0)
     assert [c.successes for c in res.cells] == reference_phase_successes(
         spec, 32, 2, 2, cone_kind, m_grid, 20, 1e-3, 0)
 
@@ -437,5 +438,5 @@ def test_phase_transition_full_measurement_rate():
     # even at M = N plain hard thresholding on a square gaussian matrix
     # stalls on a fraction of draws; the rate is high but not 1
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 32)
-    res = phase_transition(spec, 32, 2, 2, SUBSPACE, (32,), 30, seed=0)
+    res = phase_transition(spec, 2, 2, SUBSPACE, (32,), 30, seed=0)
     assert res.cells[0].rate >= 0.6

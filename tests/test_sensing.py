@@ -1,10 +1,11 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bilinear_cs import sensing
+from bilinear_cs import cli, sensing
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       BilinearMapSpec, apply_map_batch)
 from bilinear_cs.bounds import c0
@@ -95,7 +96,7 @@ def test_rip_monte_carlo_report_internally_consistent():
     for q, v in rep.quantiles:
         assert v <= rep.max_abs_distortion
         assert abs(v - float(np.quantile(rep.abs_distortions, q))) < 1e-12
-    j = rep.to_json()
+    j = json.loads(cli.json_text(rep))
     assert "abs_distortions" not in j
     assert j["exceed_count"] == rep.exceed_count
 
@@ -280,7 +281,7 @@ def test_concentration_unpacks_and_reports_theory():
     assert theory == 2.0 * math.exp(-c0(0.5) * 32)
     assert res.violations == int(np.sum(np.abs(res.ratios - 1.0) > 0.25))
     assert res.trials == 120
-    assert "ratios" not in res.to_json()
+    assert "ratios" not in json.loads(cli.json_text(res))
 
 
 def test_concentration_scale_invariant():

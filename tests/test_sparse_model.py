@@ -43,10 +43,8 @@ def test_support_json_round_trip():
     assert s.to_json() == {"n": 6, "indices": [1, 4]}
 
 
-def test_cone_spec_json_shape():
+def test_cone_spec_dims():
     cone = ConeSpec(Support((0, 2), 4), SUBSPACE)
-    d = cone.to_json()
-    assert d == {"n": 4, "indices": [0, 2], "kind": "subspace"}
     assert cone.dim == 2
     assert cone.ambient_dim == 4
 
