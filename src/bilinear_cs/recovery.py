@@ -221,17 +221,22 @@ class _TopK:
         return v
 
 
-def _adaptive_step(phi: np.ndarray) -> float:
-    """1 / |Phi|^2 with the spectral norm estimated by power iteration."""
-    b = np.random.default_rng(0).standard_normal(phi.shape[1])
-    b /= np.linalg.norm(b)
-    for _ in range(_POWER_ITERS):
-        b = phi.T @ (phi @ b)
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            return 1.0
-        b /= nb
-    return 1.0 / float(np.dot(phi @ b, phi @ b))
+def _adaptive_step(phi: np.ndarray) -> np.ndarray:
+    """1 / |Phi_t|^2 for each matrix of the stack phi (T, m, n) by power
+    iteration in lockstep, with a lone iteration's gemv and norm calls per
+    member; 1.0 for a member whose iterate reaches norm 0."""
+    b = np.random.default_rng(0).standard_normal(phi.shape[2])
+    b = np.tile(b / np.linalg.norm(b), (len(phi), 1))
+    zero = np.zeros(len(phi), dtype=bool)
+    phi_t = phi.transpose(0, 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_POWER_ITERS):
+            b = np.matmul(phi_t, np.matmul(phi, b[:, :, None]))[:, :, 0]
+            nb = np.sqrt(np.vecdot(b, b))
+            zero |= nb == 0.0
+            b /= nb[:, None]
+        pb = np.matmul(phi, b[:, :, None])[:, :, 0]
+        return np.where(zero, 1.0, 1.0 / np.vecdot(pb, pb))
 
 
 def _iht_stack(phi: np.ndarray, y: np.ndarray, k: np.ndarray, mu: np.ndarray,
@@ -317,7 +322,7 @@ def iht(problem: RecoveryProblem, k: int, max_iters: int = _MAX_ITERS,
     if k > m:
         raise ValueError(f"k={k} exceeds {m} measurements")
     z, iterations, converged, diverged = _iht_stack(
-        phi[None], y[None], np.array([k]), np.array([_adaptive_step(phi)]), max_iters, tol)
+        phi[None], y[None], np.array([k]), _adaptive_step(phi[None]), max_iters, tol)
     return _finish(z[0], phi, y, problem, iterations=iterations[0],
                    converged=converged[0], diverged=diverged[0])
 
@@ -390,10 +395,10 @@ def phase_transition(map_spec: BilinearMapSpec, s: int, f: int, cone_kind: str,
     draws (null image) are redrawn.  Trial (mi, t) seeds from
     (seed, mi, t), so grid subsets reproduce.
 
-    A cell first draws all of its trials, then runs their IHT solves as
-    one lockstep stack (`_iht_stack`).  Each trial draws only from its own
-    stream, so drawing ahead changes no draw, and the stack gives every
-    trial the bits a lone `iht` run gives it.
+    A cell first draws all of its trials, then finds their steps and
+    solves them as lockstep stacks (`_adaptive_step`, `_iht_stack`).
+    Each trial draws only from its own stream, so drawing ahead changes
+    no draw, and the stacks give each trial a lone `iht` run's bits.
     """
     n = map_spec.ambient_dim
     if cone_kind not in CONE_KINDS:
@@ -435,8 +440,8 @@ def phase_transition(map_spec: BilinearMapSpec, s: int, f: int, cone_kind: str,
             ks.append(k)
         successes = 0
         if phis:
-            z_hat, _, _, _ = _iht_stack(np.stack(phis), np.stack(ys), np.array(ks),
-                                        np.array([_adaptive_step(p) for p in phis]),
+            phis = np.stack(phis)
+            z_hat, _, _, _ = _iht_stack(phis, np.stack(ys), np.array(ks), _adaptive_step(phis),
                                         _MAX_ITERS, _TOL)
             truth = np.stack(truths)
             miss = z_hat - truth

@@ -24,7 +24,9 @@ and max runs of all its restarts as one lockstep stack (`_alternate`).
 The certifier grids one cone and solves the other exactly: with the
 outer argument u fixed, T(u, .) is the matrix A(u) = sum_k u_k B_k,
 whose extreme singular values are the extreme ratios over an inner
-subspace.
+subspace.  The brute sweep and the certifier work in blocks of one
+working-set budget, `_BLOCK` floats: block size changes no result, since
+draws fill in stream order and the first extreme wins across blocks.
 
 Three estimators with different trade-offs:
 
@@ -47,8 +49,7 @@ from .sparse_model import (DEGENERATE_NORM, POSITIVE_ORTHANT, ConeSpec, Support,
                            row_norms, unit_cone_coefficients)
 
 GRID_GUARD = 10 ** 8
-_BATCH = 20_000
-_GRID_CHUNK = 500_000  # floats in a chunk of the certifier's A(u) or squared ratios
+_BLOCK = 65_536  # floats in the working set of a brute batch or a certifier chunk
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,13 @@ def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
     return v
 
 
+def _brute_rows(images: np.ndarray) -> int:
+    """Samples per brute batch: one holds S + F coefficients, S F pair
+    products and a float per coordinate of the output support."""
+    s, f, _ = images.shape
+    return max(1, _BLOCK // (s + f + s * f + int(np.count_nonzero(images.any(axis=(0, 1))))))
+
+
 def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
                    samples: int = 10_000, seed: int = 0) -> RnmpEstimate:
     """Monte Carlo sweep over random unit cone pairs.
@@ -180,9 +188,10 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
     best_min = np.inf
     best_max = -np.inf
     wit_min = wit_max = None
+    rows = _brute_rows(images)
     done = 0
     while done < samples:
-        count = min(_BATCH, samples - done)
+        count = min(rows, samples - done)
         xc = unit_cone_coefficients(cone_x, count, rng_x)
         yc = unit_cone_coefficients(cone_y, count, rng_y)
         support, zs = apply_restricted_batch(images, xc, yc)
@@ -453,7 +462,7 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
 
     best_lo = np.inf
     best_hi = -np.inf
-    chunk = max(1, _GRID_CHUNK // per_point)
+    chunk = max(1, _BLOCK // per_point)
     for start in range(0, len(us), chunk):
         uc = us[start:start + chunk]
         if exact:

@@ -216,6 +216,33 @@ def stable_top_k(v, k):
     return out
 
 
+def lone_step(phi):
+    """1 / |Phi|^2 from a lone 30-iteration power iteration, 1.0 when the
+    iterate reaches norm 0: the step as computed one matrix at a time."""
+    b = np.random.default_rng(0).standard_normal(phi.shape[1])
+    b /= np.linalg.norm(b)
+    for _ in range(30):
+        b = phi.T @ (phi @ b)
+        nb = np.linalg.norm(b)
+        if nb == 0.0:
+            return 1.0
+        b /= nb
+    return 1.0 / float(np.dot(phi @ b, phi @ b))
+
+
+@pytest.mark.parametrize("m, n, count", [
+    (4, 32, 20), (8, 32, 20), (16, 32, 20), (32, 32, 20), (64, 256, 1), (1, 1, 3), (3, 5, 7)])
+def test_stacked_step_matches_lone_power_iteration_bitwise(m, n, count):
+    phis = np.random.default_rng(m * n + count).standard_normal((count, m, n)) / np.sqrt(m)
+    if count > 1:
+        phis[1] = 0.0  # its iterate reaches 0 on the first iteration
+    steps = recovery._adaptive_step(phis)
+    assert steps.shape == (count,)
+    assert np.array_equal(steps, [lone_step(phi) for phi in phis])
+    if count > 1:
+        assert steps[1] == 1.0
+
+
 def two_product_iht(phi, y, k, mu, max_iters, tol=1e-8):
     """IHT computing Phi z twice an iteration: once for the gradient at
     the top, once for the residual norm at the end.  A residual tenfold
@@ -245,7 +272,7 @@ def test_iht_matches_two_product_loop_bitwise():
         prob = simulate_problem(model, phi, noise_sigma=1e-3 * seed, seed=seed)
         for max_iters in (500, 7):
             z, its, converged, diverged = two_product_iht(
-                phi, prob.y, 4, recovery._adaptive_step(phi), max_iters)
+                phi, prob.y, 4, lone_step(phi), max_iters)
             out = iht(prob, 4, max_iters=max_iters)
             assert np.array_equal(out.z_hat, z)
             assert (out.iterations, out.converged, out.diverged) == (its, converged, diverged)
@@ -269,7 +296,7 @@ def test_iht_stack_matches_lone_runs_bitwise():
         phis.append(phi)
         ys.append(simulate_problem(model, phi, noise_sigma=1e-3 * (t % 3), seed=t).y)
         ks.append((2, 4, 6, 3)[t % 4])
-        mus.append(10.0 if t % 5 == 4 else recovery._adaptive_step(phi))
+        mus.append(10.0 if t % 5 == 4 else lone_step(phi))
     # Phi = [I 0] with k = M keeps every entry, so the residual grows by
     # |1 - step| = 1.0476 an iteration: tenfold after 50 iterations, not 49
     phis.append(np.eye(m, n))
@@ -417,7 +444,7 @@ def reference_phase_successes(spec, n, s, f, cone_kind, m_grid, trials,
                 continue
             phi = _draw(GAUSSIAN, m, n, rng)
             y = phi @ z
-            z_hat, _, _, _ = two_product_iht(phi, y, k, recovery._adaptive_step(phi), 500)
+            z_hat, _, _, _ = two_product_iht(phi, y, k, lone_step(phi), 500)
             if float(np.linalg.norm(z_hat - z)) / float(np.linalg.norm(z)) <= delta_success:
                 successes += 1
         tally.append(successes)

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from bilinear_cs import rnmp
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, apply_map_batch, dft_unitary)
-from bilinear_cs.rnmp import (_BATCH, GRID_GUARD, RnmpEstimate,
+from bilinear_cs.rnmp import (GRID_GUARD, RnmpEstimate,
                               _covering_radius, _sphere_grid, _starts,
                               apply_restricted_batch, basis_images,
                               certify_exhaustive, estimate_alternating,
@@ -99,17 +102,12 @@ def test_brute_determinism_and_witnesses():
 
 
 def dense_brute(spec, cone_x, cone_y, samples, seed):
-    """The full-length sweep: embed every sample at length N, map the
-    batch with apply_map_batch, take row norms; first extremes win."""
+    """The full-length sweep in one batch: embed every sample at length N,
+    map the batch with apply_map_batch, take row norms; first extremes win."""
     child_x, child_y = np.random.SeedSequence(seed).spawn(2)
-    rng_x, rng_y = np.random.default_rng(child_x), np.random.default_rng(child_y)
-    rs, xs, ys = [], [], []
-    for start in range(0, samples, _BATCH):
-        count = min(_BATCH, samples - start)
-        xs.append(unit_cone_directions(cone_x, count, rng_x))
-        ys.append(unit_cone_directions(cone_y, count, rng_y))
-        rs.append(np.linalg.norm(apply_map_batch(spec, xs[-1], ys[-1]), axis=1))
-    r, x, y = np.concatenate(rs), np.vstack(xs), np.vstack(ys)
+    x = unit_cone_directions(cone_x, samples, np.random.default_rng(child_x))
+    y = unit_cone_directions(cone_y, samples, np.random.default_rng(child_y))
+    r = np.linalg.norm(apply_map_batch(spec, x, y), axis=1)
     i_min, i_max = int(np.argmin(r)), int(np.argmax(r))
     return r[i_min], r[i_max], (x[i_min], y[i_min]), (x[i_max], y[i_max])
 
@@ -127,12 +125,69 @@ def test_brute_matches_dense_sweep_bitwise(n, i_idx, j_idx, kind, cone_kind):
     spec = BilinearMapSpec(kind, n)
     cx = ConeSpec(support_from_indices(i_idx, n), cone_kind)
     cy = ConeSpec(support_from_indices(j_idx, n), cone_kind)
-    samples = _BATCH + 1
+    # two batches, the second of one sample
+    samples = rnmp._brute_rows(basis_images(spec, cx.support, cy.support)) + 1
     est = estimate_brute(spec, cx, cy, samples=samples, seed=n)
     alpha, beta, wit_a, wit_b = dense_brute(spec, cx, cy, samples, seed=n)
     assert est.alpha_est == alpha and est.beta_est == beta
     for got, want in zip(est.alpha_witness + est.beta_witness, wit_a + wit_b):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION])
+@pytest.mark.parametrize("cone_kind", CONE_KINDS)
+def test_block_budget_changes_no_byte(monkeypatch, kind, cone_kind):
+    # one-row blocks, blocks that leave a lone last row, the default
+    # budget, and the 20 000-sample batches and 500 000-float chunks that
+    # the budget replaced
+    n, samples, g = 5, 1000, 24
+    # the certifier's outer side is cone_x: a subspace no larger than
+    # cone_y, or an orthant paired with an orthant
+    i_idx, j_idx = ([0, 2, 3], [2, 3]) if cone_kind == POSITIVE_ORTHANT else ([2, 3], [0, 2, 3])
+    spec = BilinearMapSpec(kind, n)
+    cx = ConeSpec(support_from_indices(i_idx, n), cone_kind)
+    cy = ConeSpec(support_from_indices(j_idx, n), cone_kind)
+    images = basis_images(spec, cx.support, cy.support)
+    # a sample's coefficients, pair products and output-support rows
+    per_sample = 2 + 3 + 6 + np.count_nonzero(images.any(axis=(0, 1)))
+    points = len(_sphere_grid(cx.dim, cone_kind, g))
+    # an outer point's A(u), or its squared ratios over the inner grid
+    per_point = g if cone_kind == POSITIVE_ORTHANT else cy.dim * n
+    budgets = [(1, 1, 1), (333 * per_sample, 333, (points - 1) * per_point),
+               (rnmp._BLOCK, None, rnmp._BLOCK), (20_000 * per_sample, 20_000, 500_000)]
+    outputs = set()
+    for brute_budget, rows, grid_budget in budgets:
+        monkeypatch.setattr(rnmp, "_BLOCK", brute_budget)
+        assert rows is None or rnmp._brute_rows(images) == rows
+        brute = estimate_brute(spec, cx, cy, samples=samples, seed=3)
+        monkeypatch.setattr(rnmp, "_BLOCK", grid_budget)
+        grid = certify_exhaustive(spec, cx, cy, grid_per_dim=g)
+        outputs.add(json.dumps([brute.to_json(), grid.to_json()]))
+    assert len(outputs) == 1
+
+
+def test_brute_and_certifier_peaks_follow_the_block_budget():
+    # the fixed 20 000-sample batches and 500 000-float chunks peaked at
+    # 2.6 and 3.4 MB for brute and 8.9 MB for this orthant grid
+    conv = BilinearMapSpec(CIRCULAR_CONVOLUTION, 5)
+    cx, cy = subspace_pair(5, [0, 1, 3], [1, 4])
+    pointwise = BilinearMapSpec(POINTWISE, 4)
+    ox = ConeSpec(support_from_indices([0, 2, 3], 4), POSITIVE_ORTHANT)
+    oy = ConeSpec(support_from_indices([2, 3], 4), POSITIVE_ORTHANT)
+    runs = [lambda: estimate_brute(conv, cx, cy, samples=30_000),
+            lambda: estimate_brute(conv, cx, cy, samples=300_000),
+            lambda: certify_exhaustive(pointwise, ox, oy, grid_per_dim=120)]
+    # a first call's one-off allocations are not the working set
+    estimate_brute(conv, cx, cy, samples=10)
+    certify_exhaustive(pointwise, ox, oy, grid_per_dim=3)
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * rnmp._BLOCK, peak
 
 
 def c_order_restricted(images, xc, yc):
