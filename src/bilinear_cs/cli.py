@@ -7,10 +7,10 @@ embed the full config plus the package version so a result file is its
 own provenance record; there are no timestamps, so the same config
 produces byte-identical files.
 
-Floats are printed with 17 significant digits everywhere (JSON and
-CSV) so doubles reproduce bit-for-bit.  Exit codes: 0 success, 2 bad
-config (the failing field is named), 1 runtime failure; errors go to
-stderr as a one-line JSON record.
+Floats are printed as their shortest round-trip repr everywhere (JSON
+and CSV), so doubles, -0.0 included, read back bit for bit.  Exit
+codes: 0 success, 2 bad config (the failing field is named), 1 runtime
+failure; errors go to stderr as a one-line JSON record.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -114,63 +113,38 @@ def load_config(path: str, seed_override: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-# json.dumps of a str, without building an encoder per call
-_quote = json.encoder.encode_basestring_ascii
+
+def _plain(obj):
+    """What json.dumps writes for a value it has no rule for: an array's
+    list, a numpy scalar's Python value, a report's `to_json()`, or a
+    dataclass's fields less those marked `field(metadata={"json": False})`
+    (per-sample arrays, which go only to CSV)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                if f.metadata.get("json", True)}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def json_text(obj) -> str:
-    """JSON with sorted keys and floats at 17 significant digits.
-
-    A dataclass is written as its fields, less those marked
-    `field(metadata={"json": False})` (per-sample arrays, which go only to
-    CSV).  A report defines `to_json` only where its JSON renames or nests
-    fields, and is then written as what that method returns.
-    """
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isinf(x) or math.isnan(x):
-            raise ValueError("non-finite float in output payload")
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(_quote(str(k)) + ": " + json_text(v) for k, v in sorted(obj.items()))
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        # flat float or int lists (witnesses, samples) in one join
-        if all(type(v) is float for v in obj):
-            inner = ", ".join([format(v, ".17g") for v in obj])
-            if "n" in inner:  # inf or nan; finite floats print no n
-                raise ValueError("non-finite float in output payload")
-            return "[" + inner + "]"
-        if all(type(v) is int for v in obj):
-            return "[" + ", ".join(map(str, obj)) + "]"
-        return "[" + ", ".join(json_text(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, np.ndarray):
-        return json_text(obj.tolist())
-    if hasattr(obj, "to_json"):
-        return json_text(obj.to_json())
-    if dataclasses.is_dataclass(obj):
-        return json_text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-                          if f.metadata.get("json", True)})
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """JSON with sorted keys and each float as its shortest round-trip
+    repr; a non-finite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_plain)
 
 
 _Table = Mapping[str, Sequence]  # a CSV table: column name -> cells, in order
 
 
 def _column_text(column: Sequence) -> list:
-    """One CSV column: floats at 17 significant digits, str otherwise."""
+    """One CSV column: floats as their shortest round-trip repr, str otherwise."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return [format(v, ".17g") for v in column.tolist()]
-    return [format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
-            for v in column]
+        return list(map(repr, column.tolist()))
+    return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
 def _write_csv(path: str, header_lines: Sequence[str], table: _Table) -> None:
@@ -406,6 +380,17 @@ _HANDLERS: Dict[str, Callable[[dict, int], Tuple[object, Optional[_Table]]]] = {
 }
 
 
+def _fail(exc: Exception) -> int:
+    """Write the error to stderr as a one-line JSON record; returns the
+    exit status: 2 for a bad config, 1 for a runtime failure."""
+    if isinstance(exc, ConfigError):
+        code, record = 2, {"kind": "config", "field": exc.field, "message": exc.message}
+    else:
+        code, record = 1, {"kind": "runtime", "message": str(exc)}
+    sys.stderr.write(json.dumps({"error": record}) + "\n")
+    return code
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
@@ -420,15 +405,8 @@ def run(config: ExperimentConfig) -> int:
                         "result": payload}
             with open(config.output_path, "w") as fh:
                 fh.write(json_text(document) + "\n")
-    except ConfigError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "config", "field": exc.field,
-                       "message": exc.message}}) + "\n")
-        return 2
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "runtime", "message": str(exc)}}) + "\n")
-        return 1
+        return _fail(exc)
     return 0
 
 
@@ -452,10 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              output_override=args.output,
                              format_override=args.format)
     except ConfigError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "config", "field": exc.field,
-                       "message": exc.message}}) + "\n")
-        return 2
+        return _fail(exc)
     return run(config)
 
 

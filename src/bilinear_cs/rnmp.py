@@ -40,11 +40,11 @@ Three estimators with different trade-offs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .bilinear_ops import BilinearMapSpec, apply_map, apply_map_batch
+from .bilinear_ops import BilinearMapSpec, apply_map_batch
 from .sparse_model import (DEGENERATE_NORM, POSITIVE_ORTHANT, ConeSpec, Support,
                            row_norms, unit_cone_coefficients)
 
@@ -57,12 +57,13 @@ class RnmpEstimate:
     """Estimated multiplicativity constants with attaining direction pairs.
 
     Witnesses are unit-norm vectors supported on the declared cones; each
-    reproduces its reported constant within `tol` when the ratio is
+    reproduces its reported constant, up to rounding, when the ratio is
     re-evaluated.  `converged` is False when the alternating method hit
-    its iteration cap before the improvement dropped below tol.  `bracket`
-    holds the grid's certified interval, its covering radius and its outer
-    point count (`certify_exhaustive`); it is None, and left out of the
-    JSON, for the randomized methods.
+    its iteration cap before the improvement dropped below its tol.
+    `details` holds the method's own settings, written to the JSON under
+    their own names: `samples` for brute, `restarts` and `tol` for
+    alternating, and for grid `grid_per_dim` with the certified interval,
+    its covering radius and its outer point count (`certify_exhaustive`).
     """
 
     support_pair: Tuple[Support, Support]
@@ -72,10 +73,8 @@ class RnmpEstimate:
     alpha_witness: Tuple[np.ndarray, np.ndarray]
     beta_witness: Tuple[np.ndarray, np.ndarray]
     method: str  # brute | alternating | grid
-    restarts: int
-    tol: float
+    details: dict
     converged: bool = True
-    bracket: Optional[dict] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_est <= self.beta_est:
@@ -95,22 +94,9 @@ class RnmpEstimate:
             "beta_witness_x": self.beta_witness[0].tolist(),
             "beta_witness_y": self.beta_witness[1].tolist(),
             "method": self.method,
-            "restarts": self.restarts,
-            "tol": self.tol,
             "converged": self.converged,
-            **(self.bracket or {}),
+            **self.details,
         }
-
-
-def norm_ratio(spec: BilinearMapSpec, x, y) -> float:
-    """||T(x,y)|| / (||x|| ||y||); 0-homogeneous in each argument."""
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    nx = np.linalg.norm(xv)
-    ny = np.linalg.norm(yv)
-    if nx == 0 or ny == 0:
-        raise ValueError("ratio undefined for zero vectors")
-    return float(np.linalg.norm(apply_map(spec, xv, yv)) / (nx * ny))
 
 
 def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.ndarray:
@@ -214,8 +200,7 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
         alpha_witness=wit_min,
         beta_witness=wit_max,
         method="brute",
-        restarts=samples,
-        tol=1e-9,
+        details={"samples": samples},
     )
 
 
@@ -345,8 +330,7 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
         alpha_witness=(_embed(x[i_a], cone_x), _embed(y[i_a], cone_y)),
         beta_witness=(_embed(x[i_b], cone_x), _embed(y[i_b], cone_y)),
         method="alternating",
-        restarts=restarts,
-        tol=tol,
+        details={"restarts": restarts, "tol": tol},
         converged=bool(converged[i_a] and converged[i_b]),
     )
 
@@ -419,8 +403,8 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     cone vector lies within rho of a grid point (`_covering_radius`) and
     ||A(d)|| <= L ||d|| (`_lipschitz`), so alpha >= alpha_est - L rho and
     beta <= beta_est + L rho; on two orthants the slack is
-    L_x rho_x + L_y rho_y.  `bracket` holds the four bounds, rho (the
-    larger of the two on orthants) and the outer grid's size.  The pair
+    L_x rho_x + L_y rho_y.  `details` holds grid_per_dim, the four bounds,
+    rho (the larger of the two on orthants) and the outer grid's size.  The pair
     count of the product grid over both cones is capped at 10^8.
     """
     if grid_per_dim < 3:
@@ -440,7 +424,6 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     slack = _lipschitz(slices) * rho
     exact = inner.kind != POSITIVE_ORTHANT
     if exact:
-        flat = slices.reshape(k, m * n)
         per_point = m * n
     else:
         # G[(k,k'),(l,l')] = <B[k,l], B[k',l']> evaluates ||T(u,v)||^2 for
@@ -453,9 +436,6 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
         slack += _lipschitz(slices.transpose(1, 0, 2)) * inner_rho
         rho = max(rho, inner_rho)
 
-    def restricted(uc):  # A(u) for each row u of uc, (P, N, m)
-        return np.matmul(uc, flat).reshape(-1, m, n).transpose(0, 2, 1)
-
     def squares(uc):  # ||T(u, v)||^2 for each row u of uc and v of vs
         uu = (uc[:, :, None] * uc[:, None, :]).reshape(len(uc), k * k)
         return (uu @ gram) @ vv.T
@@ -466,7 +446,7 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     for start in range(0, len(us), chunk):
         uc = us[start:start + chunk]
         if exact:
-            a = restricted(uc)
+            a = _restricted(uc, slices)
             # the singular value of a one-column A(u) is its norm
             sv = np.linalg.svd(a, compute_uv=False) if m > 1 else _norms(a[:, :, 0])[:, None]
             lo, hi = sv[:, -1], sv[:, 0]
@@ -482,7 +462,8 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     def witness(i, use_max):
         u = us[i]
         if exact:
-            v = np.linalg.svd(restricted(u[None])[0], full_matrices=False).Vh[0 if use_max else -1]
+            v = np.linalg.svd(_restricted(u[None], slices)[0],
+                              full_matrices=False).Vh[0 if use_max else -1]
         else:
             r2 = squares(u[None])[0]
             v = vs[int(np.argmax(r2) if use_max else np.argmin(r2))]
@@ -497,9 +478,8 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
         alpha_witness=witness(arg_lo, False),
         beta_witness=witness(arg_hi, True),
         method="grid",
-        restarts=grid_per_dim,
-        tol=1e-6,
-        bracket={"alpha_lower": max(0.0, best_lo - slack), "alpha_upper": best_lo,
+        details={"grid_per_dim": grid_per_dim,
+                 "alpha_lower": max(0.0, best_lo - slack), "alpha_upper": best_lo,
                  "beta_lower": best_hi, "beta_upper": best_hi + slack,
                  "covering_radius": rho, "outer_points": len(us)},
     )

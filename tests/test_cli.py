@@ -34,9 +34,19 @@ def bounds_config(tmp_path, out_name="out.json", **extra):
     return write_config(tmp_path, "cfg.json", body)
 
 
+def bits(values) -> list:
+    """The float64 bit patterns of a list of numbers, -0.0 apart from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
 def test_json_text_float_rendering():
-    assert json_text(1 / 3) == "0.33333333333333331"
-    assert json.loads(json_text(1 / 3)) == 1 / 3
+    # each float as its shortest round-trip repr: integral floats and -0.0
+    # read back as the same floats
+    assert json_text(1 / 3) == "0.3333333333333333"
+    assert json_text([2.0, -0.0, 0.0, np.float64(0.1)]) == "[2.0, -0.0, 0.0, 0.1]"
+    for x in (1 / 3, 2.0, -0.0, 5e-324, -1.7976931348623157e308):
+        back = json.loads(json_text(x))
+        assert type(back) is float and bits([back]) == bits([x])
     assert json_text(True) == "true"
     assert json_text(None) == "null"
     assert json_text({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
@@ -48,30 +58,32 @@ def test_json_text_float_rendering():
         json_text(object())
 
 
-def recursive_json_text(obj) -> str:
-    """The serializer as it was: one recursive call per value."""
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None or isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isinf(x) or math.isnan(x):
-            raise ValueError("non-finite float in output payload")
-        return format(x, ".17g")
+def plain(obj):
+    """The Python value a document reads back as: arrays as lists, numpy
+    scalars as their Python value, tuples as lists, keys sorted."""
     if isinstance(obj, dict):
-        return "{" + ", ".join(json.dumps(str(k)) + ": " + recursive_json_text(v)
-                               for k, v in sorted(obj.items())) + "}"
+        return {str(k): plain(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(recursive_json_text(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return recursive_json_text(obj.tolist())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return [plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return plain(obj.tolist())
+    return obj
 
 
-def test_json_text_matches_recursive_serializer_bytes():
+def same(got, want) -> bool:
+    """Equal values of the same types, floats bit for bit."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, float):
+        return bits([got]) == bits([want])
+    if isinstance(got, dict):
+        return list(got) == list(want) and all(same(got[k], want[k]) for k in got)
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(same, got, want))
+    return got == want
+
+
+def test_json_text_reads_back_every_value():
     rng = np.random.default_rng(8)
     floats = rng.standard_normal(50) * np.exp(rng.uniform(-300, 300, 50))
     docs = [
@@ -79,16 +91,41 @@ def test_json_text_matches_recursive_serializer_bytes():
         floats, floats.tolist(), floats.reshape(5, 10), np.arange(7), np.arange(7).tolist(),
         [2 ** 70, -3, 0], np.array(3.5), np.array([True, False]), [True, 1, 1.0],
         [np.float64(0.1), np.int64(-4), np.bool_(True), np.float32(0.5)],
-        [1, 2.5], [1.5, "x", None], ("a", "é\n\"q\""),
+        [1, 2.5, 2.0, -0.0], [1.5, "x", None], ("a", "é\n\"q\""),
         {"b": {"z": [1.0, 2.0], "a": np.float64(-0.0)}, "a": [np.int64(2), 3],
          "c": {"x": [{"y": np.arange(3.0)}]}, "é": "ü", "k": None, "t": np.bool_(False)},
     ]
     for doc in docs:
-        assert json_text(doc) == recursive_json_text(doc), doc
+        text = json_text(doc)
+        assert text.isascii(), doc
+        assert same(json.loads(text), plain(doc)), doc
     for bad in (np.inf, -np.inf, np.nan):
         for doc in (bad, [1.0, bad], np.array([0.5, bad]), {"a": [bad]}, [np.float64(bad)]):
             with pytest.raises(ValueError):
                 json_text(doc)
+
+
+def test_rnmp_witness_keeps_negative_zero(tmp_path):
+    # the grid's witnesses on this pair hold -0.0 coordinates; the file must
+    # give back their sign bits, not the integer 0
+    parameters = {"map": "circular_convolution", "n": 4, "i": [0], "j": [1, 2],
+                  "grid_per_dim": 8}
+    path = write_config(tmp_path, "cfg.json", {
+        "schema": 1, "command": "rnmp", "parameters": parameters,
+        "output": str(tmp_path / "out.json")})
+    assert main(["--config", path]) == 0
+    result = json.loads((tmp_path / "out.json").read_text())["result"]
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 4)
+    cx, cy = (ConeSpec(support_from_indices(i, 4), SUBSPACE) for i in ([0], [1, 2]))
+    est = rnmp.certify_exhaustive(spec, cx, cy, grid_per_dim=8)
+    want = {"alpha_witness_x": est.alpha_witness[0], "alpha_witness_y": est.alpha_witness[1],
+            "beta_witness_x": est.beta_witness[0], "beta_witness_y": est.beta_witness[1]}
+    negative_zeros = 0
+    for key, vector in want.items():
+        assert all(type(v) is float for v in result[key]), key
+        assert bits(result[key]) == bits(vector), key
+        negative_zeros += int(np.sum((vector == 0) & np.signbit(vector)))
+    assert negative_zeros > 0
 
 
 def test_config_validation():
@@ -538,54 +575,39 @@ def test_run_accepts_programmatic_config(tmp_path):
         doc2["result"]["success_probability_lower"]
 
 
-# the row-by-row CSV writer that the column writer replaced, kept as the
-# byte reference: one _cell call per value and one write per row
-
-
-def _old_cell(v):
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
-def _old_write_csv(path, header_lines, columns, rows):
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_old_cell(v) for v in row) + "\n")
-
-
-def _old_config_header(config):
-    echo = config.echo()
-    lines = [f"version={__version__}"]
-    for key in sorted(echo):
-        value = echo[key]
-        if isinstance(value, dict):
-            lines.append(f"{key}={json_text(value)}")
-        else:
-            lines.append(f"{key}={value}")
-    return lines
+def read_csv(path):
+    """(header lines without their "# ", column names, data rows as cells)."""
+    lines = path.read_text().splitlines()
+    header = [line[2:] for line in lines if line.startswith("# ")]
+    data = [line.split(",") for line in lines[len(header):]]
+    return header, data[0], data[1:]
 
 
 @pytest.mark.parametrize("header", [[], ["version=0", "parameters={\"a\": 1}", "seed=3"]])
-def test_write_csv_matches_row_writer_bytes(tmp_path, header):
+def test_write_csv_cells_read_back(tmp_path, header):
     table = {
         "f": np.array([-0.0, 5e-324, 1e300, 1 / 3]),
         "i": np.array([7, -1, 0, 2 ** 62], dtype=np.int64),
         "b": np.array([True, False, True, False]),
         "mixed": [np.int64(5), True, "cone", np.float32(0.1)],
-        "py": [-0.0, 5e-324, 1e300, np.float64(2.5)],
+        "py": [-0.0, 2.0, 1e300, np.float64(2.5)],
         "s": ["a", "b c", "", "subspace"],
     }
-    cli._write_csv(str(tmp_path / "new.csv"), header, table)
-    _old_write_csv(str(tmp_path / "old.csv"), header, tuple(table), list(zip(*table.values())))
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    cli._write_csv(str(tmp_path / "t.csv"), header, table)
+    got_header, columns, rows = read_csv(tmp_path / "t.csv")
+    assert got_header == header and columns == list(table)
+    assert len(rows) == 4
+    cells = dict(zip(columns, zip(*rows)))
+    for name in ("f", "py"):
+        assert bits([float(c) for c in cells[name]]) == bits(table[name]), name
+    assert cells["i"] == ("7", "-1", "0", str(2 ** 62))
+    assert cells["b"] == ("True", "False", "True", "False")
+    assert cells["mixed"][:3] == ("5", "True", "cone")
+    assert float(cells["mixed"][3]) == float(np.float32(0.1))
+    assert cells["s"] == tuple(table["s"])
     # a table without rows still writes its header and column names
-    cli._write_csv(str(tmp_path / "new0.csv"), header, {"M": [], "rate": np.empty(0)})
-    _old_write_csv(str(tmp_path / "old0.csv"), header, ("M", "rate"), [])
-    assert (tmp_path / "new0.csv").read_bytes() == (tmp_path / "old0.csv").read_bytes()
+    cli._write_csv(str(tmp_path / "t0.csv"), header, {"M": [], "rate": np.empty(0)})
+    assert read_csv(tmp_path / "t0.csv") == (header, ["M", "rate"], [])
 
 
 def _recording(monkeypatch, name, seen):
@@ -606,7 +628,7 @@ def _recording(monkeypatch, name, seen):
     ("phase", {"map": "pointwise", "n": 16, "S": 3, "F": 3, "m_grid": [4, 8, 16],
                "trials": 5}),
 ])
-def test_csv_commands_match_row_writer_bytes(tmp_path, monkeypatch, command, parameters):
+def test_csv_commands_write_the_report_values(tmp_path, monkeypatch, command, parameters):
     seen = []
     recorder = {"bounds": "compose_bound_report", "rip-mc": "rip_monte_carlo",
                 "phase": "phase_transition"}[command]
@@ -616,21 +638,33 @@ def test_csv_commands_match_row_writer_bytes(tmp_path, monkeypatch, command, par
         "output": str(tmp_path / "new.csv"), "format": "csv"})
     assert main(["--config", path]) == 0
     if command == "bounds":
-        columns = ("M", "raw_bound", "clamped_bound")
+        columns = ["M", "raw_bound", "clamped_bound"]
         rows = [(b.m, b.success_probability_lower, b.success_probability_clamped)
                 for b in seen]
     elif command == "rip-mc":
-        columns = ("sample_index", "abs_distortion")
+        columns = ["sample_index", "abs_distortion"]
         rows = [(i, d) for i, d in enumerate(seen[0].abs_distortions)]
     else:
         r = seen[0]
-        columns = ("N", "S", "F", "cone_kind", "M", "trials", "successes", "rate")
+        columns = ["N", "S", "F", "cone_kind", "M", "trials", "successes", "rate"]
         rows = [(r.n, r.s, r.f, r.cone_kind, c.m, c.trials, c.successes, c.rate)
                 for c in r.cells]
-    _old_write_csv(str(tmp_path / "old.csv"), _old_config_header(load_config(path)),
-                   columns, rows)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
+    header, got_columns, got_rows = read_csv(tmp_path / "new.csv")
+    assert header[0] == f"version={__version__}"
+    fields = dict(line.split("=", 1) for line in header[1:])
+    assert list(fields) == sorted(fields)
+    assert json.loads(fields.pop("parameters")) == parameters
+    assert fields == {"command": command, "format": "csv", "output": str(tmp_path / "new.csv"),
+                      "schema": "1", "seed": "4"}
+    assert got_columns == columns
+    assert len(got_rows) == len(rows)
+    for got, want in zip(got_rows, rows):
+        assert len(got) == len(want)
+        for cell, value in zip(got, want):
+            if isinstance(value, (float, np.floating)):
+                assert bits([float(cell)]) == bits([value]), (cell, value)
+            else:
+                assert cell == str(value)
 
 
 # the to_json methods that json_text's dataclass rule replaced, kept as the
@@ -734,8 +768,8 @@ RESULT_KEYS = {
     "rnmp": ({"map": "circular_convolution", "n": 4, "i": [0, 2], "j": [0, 2]},
              "alpha_est alpha_lower alpha_upper alpha_witness_x alpha_witness_y beta_est "
              "beta_lower beta_upper beta_witness_x beta_witness_y cone_kinds converged "
-             "covering_radius method outer_points restarts support_x support_x.indices "
-             "support_x.n support_y support_y.indices support_y.n tol"),
+             "covering_radius grid_per_dim method outer_points support_x support_x.indices "
+             "support_x.n support_y support_y.indices support_y.n"),
     "bounds": ({"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 2000,
                 "solve_samples": 1, "p_target": 1e-3, "N": 64},
                "c0 covering_x covering_y d inputs inputs.alpha inputs.beta inputs.case "

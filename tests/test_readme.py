@@ -36,9 +36,9 @@ def test_readme_python_session():
     with contextlib.redirect_stdout(out):
         exec(session, namespace)
     est = namespace["est"]
-    assert_null_pair(est.alpha_est, est.beta_est, est.bracket)
+    assert_null_pair(est.alpha_est, est.beta_est, est.details)
     printed = [[float(v) for v in line.split()] for line in out.getvalue().splitlines()]
-    b = est.bracket
+    b = est.details
     assert printed == [[est.alpha_est, est.beta_est], [b["alpha_lower"], b["alpha_upper"]],
                        [b["beta_lower"], b["beta_upper"]]]
     # the slack the README states: rho = pi/64 and L = sqrt(2)

@@ -12,7 +12,7 @@ from bilinear_cs.rnmp import (GRID_GUARD, RnmpEstimate,
                               _covering_radius, _sphere_grid, _starts,
                               apply_restricted_batch, basis_images,
                               certify_exhaustive, estimate_alternating,
-                              estimate_brute, norm_ratio)
+                              estimate_brute)
 from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
                                       ConeSpec, Support, support_from_indices,
                                       unit_cone_coefficients, unit_cone_directions)
@@ -21,6 +21,17 @@ from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
 def subspace_pair(n, i_idx, j_idx):
     return (ConeSpec(support_from_indices(i_idx, n), SUBSPACE),
             ConeSpec(support_from_indices(j_idx, n), SUBSPACE))
+
+
+def norm_ratio(spec, x, y) -> float:
+    """||T(x,y)|| / (||x|| ||y||); 0-homogeneous in each argument."""
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    nx = np.linalg.norm(xv)
+    ny = np.linalg.norm(yv)
+    if nx == 0 or ny == 0:
+        raise ValueError("ratio undefined for zero vectors")
+    return float(np.linalg.norm(apply_map(spec, xv, yv)) / (nx * ny))
 
 
 def test_norm_ratio_rejects_zero_vectors():
@@ -73,8 +84,7 @@ def test_estimate_orders_alpha_below_beta():
             alpha_witness=(np.zeros(4), np.zeros(4)),
             beta_witness=(np.zeros(4), np.zeros(4)),
             method="brute",
-            restarts=1,
-            tol=1e-9,
+            details={"samples": 1},
         )
 
 
@@ -382,7 +392,7 @@ def test_alternating_stack_matches_lone_runs_bitwise(max_iters):
                 est = estimate_alternating(spec, cx, cy, restarts=6,
                                            max_iters=max_iters, seed=n)
                 alpha, beta, wit_a, wit_b, converged, runs = lone_alternating(
-                    spec, cx, cy, 6, max_iters, est.tol, seed=n)
+                    spec, cx, cy, 6, max_iters, est.details["tol"], seed=n)
                 assert est.alpha_est == alpha and est.beta_est == beta
                 assert est.converged == converged
                 for got, want, cone in zip(est.alpha_witness + est.beta_witness,

@@ -31,7 +31,7 @@ def bracket_cases(draw):
 def test_bracket_contains_estimates_and_fine_reference(case):
     n, kind, cx, cy, g, seed = case
     spec = BilinearMapSpec(kind, n, unitary=dft_unitary(n) if kind == UNITARY_PRODUCT else None)
-    b = certify_exhaustive(spec, cx, cy, grid_per_dim=g).bracket
+    b = certify_exhaustive(spec, cx, cy, grid_per_dim=g).details
     for est in (estimate_brute(spec, cx, cy, samples=2000, seed=seed),
                 estimate_alternating(spec, cx, cy, restarts=4, seed=seed)):
         assert b["alpha_lower"] - 1e-12 <= est.alpha_est
