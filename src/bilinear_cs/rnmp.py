@@ -12,10 +12,11 @@ it keeps every probability bound built on top of it valid.
 
 On canonical supports I and J of sizes S and F the restricted map is
 fixed by its basis images B[a, b] = T(e_{i_a}, e_{j_b}) (`basis_images`,
-shape (S, F, N)); every estimator works on B in coefficient space.  The
-brute sweep (and `sensing.rip_monte_carlo`) draws (T, S) and (T, F)
-coefficient batches and evaluates them with `apply_restricted_batch`,
-never embedding a sample at length N.  It accumulates the images as
+shape (S, F, N)); every estimator works on B in coefficient space.  One
+sampler, `cone_pair_blocks`, draws the random unit pairs of the brute
+sweep, the alternating starts and `sensing.rip_monte_carlo` as (T, S)
+and (T, F) coefficient blocks, and `apply_restricted_batch` evaluates
+them without embedding a sample at length N.  It accumulates the images as
 coordinate rows, one per coordinate of the output support (at most S F
 of the N under convolution), and hands back their (T, K) transpose; the
 image norms are sums over those rows (`sparse_model.row_norms`), bit for
@@ -24,7 +25,7 @@ and max runs of all its restarts as one lockstep stack (`_alternate`).
 The certifier grids one cone and solves the other exactly: with the
 outer argument u fixed, T(u, .) is the matrix A(u) = sum_k u_k B_k,
 whose extreme singular values are the extreme ratios over an inner
-subspace.  The brute sweep and the certifier work in blocks of one
+subspace.  The sampler and the certifier work in blocks of one
 working-set budget, `_BLOCK` floats: block size changes no result, since
 draws fill in stream order and the first extreme wins across blocks.
 
@@ -45,11 +46,12 @@ from typing import Tuple
 import numpy as np
 
 from .bilinear_ops import BilinearMapSpec, apply_map_batch
-from .sparse_model import (DEGENERATE_NORM, POSITIVE_ORTHANT, ConeSpec, Support,
-                           row_norms, unit_cone_coefficients)
+from .sparse_model import (POSITIVE_ORTHANT, ConeSpec, Support, row_norms,
+                           unit_cone_coefficients)
 
 GRID_GUARD = 10 ** 8
-_BLOCK = 65_536  # floats in the working set of a brute batch or a certifier chunk
+_BLOCK = 65_536  # floats in the working set of a sampled block or a certifier chunk
+_TOL = 1e-9  # an alternating run stops once a step improves it by less
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class RnmpEstimate:
     Witnesses are unit-norm vectors supported on the declared cones; each
     reproduces its reported constant, up to rounding, when the ratio is
     re-evaluated.  `converged` is False when the alternating method hit
-    its iteration cap before the improvement dropped below its tol.
+    its iteration cap before the improvement dropped below `_TOL`.
     `details` holds the method's own settings, written to the JSON under
     their own names: `samples` for brute, `restarts` and `tol` for
     alternating, and for grid `grid_per_dim` with the certified interval,
@@ -148,49 +150,55 @@ def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
 
 
 def _brute_rows(images: np.ndarray) -> int:
-    """Samples per brute batch: one holds S + F coefficients, S F pair
-    products and a float per coordinate of the output support."""
+    """Pairs per block of `cone_pair_blocks`: one holds S + F coefficients,
+    S F pair products and a float per coordinate of the output support."""
     s, f, _ = images.shape
     return max(1, _BLOCK // (s + f + s * f + int(np.count_nonzero(images.any(axis=(0, 1))))))
 
 
+def cone_pair_blocks(images: np.ndarray, cone_x: ConeSpec, cone_y: ConeSpec,
+                     samples: int, seed: int):
+    """Random unit pairs on the cone pair of the basis images, `samples`
+    in all, in blocks of `_brute_rows(images)`; a lone last pair joins the
+    block before it (a one-row product is a gemv).  The x and y draws
+    come from two streams spawned off `seed`, so a larger `samples`
+    extends (rather than reshuffles) the sweep.  Yields (xc, yc, support,
+    zs, norms) a block: the (T, S) and (T, F) coefficients,
+    `apply_restricted_batch`'s output support and (T, K) images, and the
+    images' norms at length N.
+    """
+    rng_x, rng_y = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    rows = _brute_rows(images)
+    while samples > 0:
+        count = samples if samples <= rows + 1 else rows
+        xc = unit_cone_coefficients(cone_x, count, rng_x)
+        yc = unit_cone_coefficients(cone_y, count, rng_y)
+        support, zs = apply_restricted_batch(images, xc, yc)
+        yield xc, yc, support, zs, row_norms(zs, support, images.shape[2])
+        samples -= count
+
+
 def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
                    samples: int = 10_000, seed: int = 0) -> RnmpEstimate:
-    """Monte Carlo sweep over random unit cone pairs.
+    """Monte Carlo sweep over random unit cone pairs (`cone_pair_blocks`).
 
     With finitely many samples alpha_est is an upper bound on the true
-    pairwise infimum and beta_est a lower bound on the supremum.  The
-    sample streams for the two cones are independent, so enlarging
-    `samples` at a fixed seed extends (rather than reshuffles) the sweep.
+    pairwise infimum and beta_est a lower bound on the supremum; the
+    first extreme of the sweep is the witness.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     images = basis_images(spec, cone_x.support, cone_y.support)
-    ss = np.random.SeedSequence(seed)
-    child_x, child_y = ss.spawn(2)
-    rng_x = np.random.default_rng(child_x)
-    rng_y = np.random.default_rng(child_y)
-
-    best_min = np.inf
-    best_max = -np.inf
-    wit_min = wit_max = None
-    rows = _brute_rows(images)
-    done = 0
-    while done < samples:
-        count = min(rows, samples - done)
-        xc = unit_cone_coefficients(cone_x, count, rng_x)
-        yc = unit_cone_coefficients(cone_y, count, rng_y)
-        support, zs = apply_restricted_batch(images, xc, yc)
-        r = row_norms(zs, support, spec.ambient_dim)
-        i_min = int(np.argmin(r))
-        i_max = int(np.argmax(r))
+    best_min, best_max = np.inf, -np.inf
+    for xc, yc, _, _, r in cone_pair_blocks(images, cone_x, cone_y, samples, seed):
+        i_min, i_max = int(np.argmin(r)), int(np.argmax(r))
         if r[i_min] < best_min:
             best_min = float(r[i_min])
             wit_min = (_embed(xc[i_min], cone_x), _embed(yc[i_min], cone_y))
         if r[i_max] > best_max:
             best_max = float(r[i_max])
             wit_max = (_embed(xc[i_max], cone_x), _embed(yc[i_max], cone_y))
-        done += count
+        del xc, yc, r  # not held while the next block is drawn
 
     return RnmpEstimate(
         support_pair=(cone_x.support, cone_y.support),
@@ -239,7 +247,7 @@ def _half_step(a, use_max, kind, current, side):
     return np.where(better[:, None], v, side), np.where(better, cand, current)
 
 
-def _alternate(images, kinds, x, y, use_max, max_iters, tol):
+def _alternate(images, kinds, x, y, use_max, max_iters):
     """Alternating runs from starts x (T, S) and y (T, F) in lockstep, max
     where use_max, else min; values, x, y and converged flags in order.
 
@@ -257,7 +265,7 @@ def _alternate(images, kinds, x, y, use_max, max_iters, tol):
         previous = current
         y, current = _half_step(_restricted(x, images), use_max, kinds[1], current, y)
         x, current = _half_step(_restricted(y, images_t), use_max, kinds[0], current, x)
-        stop = np.abs(previous - current) < tol
+        stop = np.abs(previous - current) < _TOL
         for held, now in zip(out, (current, x, y)):
             held[live] = now
         if stop.any():
@@ -270,54 +278,29 @@ def _alternate(images, kinds, x, y, use_max, max_iters, tol):
     return (*out, converged)
 
 
-def _starts(cone_x: ConeSpec, cone_y: ConeSpec, restarts: int, seed: int):
-    """Each restart's unit start pair, (restarts, S) and (restarts, F): the
-    draws of `unit_cone_coefficients(cone_x, 1, rng)` and then of
-    `unit_cone_coefficients(cone_y, 1, rng)` from the restart's own stream,
-    bit for bit.  The normals of x and then y come in one draw per stream,
-    and all restarts are normalized at once; a restart with a degenerate
-    draw (measure zero) is drawn again by those calls, which redraw in
-    stream order.
-    """
-    s = cone_x.dim
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    g = np.array([np.random.default_rng(c).standard_normal(s + cone_y.dim) for c in children])
-    starts, degenerate = [], np.zeros(restarts, dtype=bool)
-    for part, cone in ((g[:, :s], cone_x), (g[:, s:], cone_y)):
-        norms = row_norms(part)
-        degenerate |= norms < DEGENERATE_NORM
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = part / norms[:, None]
-        starts.append(np.abs(unit) if cone.kind == POSITIVE_ORTHANT else unit)
-    for t in np.flatnonzero(degenerate):
-        rng = np.random.default_rng(children[t])
-        starts[0][t] = unit_cone_coefficients(cone_x, 1, rng)[0]
-        starts[1][t] = unit_cone_coefficients(cone_y, 1, rng)[0]
-    return starts
-
-
 def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
                          restarts: int = 8, max_iters: int = 200,
-                         tol: float = 1e-9, seed: int = 0) -> RnmpEstimate:
+                         seed: int = 0) -> RnmpEstimate:
     """Alternating singular-direction search for alpha (min) and beta (max).
 
     Fixing one argument makes the restricted map linear; the update picks
     the extreme right singular direction of that matrix, built from the
     basis images, projected to the cone for positive orthants.  Updates
     are only accepted when they improve, so the objective is monotone
-    across iterations.  Each restart's start comes from its own stream, so
-    all are drawn first and every restart's min and max runs are one stack.
+    across iterations; a run stops once a step gains less than `_TOL`.
+    The starts are the first `restarts` pairs of `estimate_brute`'s sweep
+    at the seed, so the estimates are at least as extreme as that sweep's
+    (up to rounding).  All restarts' min and max runs are one stack.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     images = basis_images(spec, cone_x.support, cone_y.support)
-    x0, y0 = _starts(cone_x, cone_y, restarts, seed)
+    x0, y0 = (np.concatenate(side) for side in zip(*(
+        block[:2] for block in cone_pair_blocks(images, cone_x, cone_y, restarts, seed))))
     kinds = (cone_x.kind, cone_y.kind)
     # members 0..restarts-1 are the min runs, the rest the max runs
     val, x, y, converged = _alternate(images, kinds, np.tile(x0, (2, 1)), np.tile(y0, (2, 1)),
-                                      np.repeat([False, True], restarts), max_iters, tol)
+                                      np.repeat([False, True], restarts), max_iters)
     # the first restart wins ties, as in a scan in restart order
     i_a = int(np.argmin(val[:restarts]))
     i_b = restarts + int(np.argmax(val[restarts:]))
@@ -330,7 +313,7 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
         alpha_witness=(_embed(x[i_a], cone_x), _embed(y[i_a], cone_y)),
         beta_witness=(_embed(x[i_b], cone_x), _embed(y[i_b], cone_y)),
         method="alternating",
-        details={"restarts": restarts, "tol": tol},
+        details={"restarts": restarts, "tol": _TOL},
         converged=bool(converged[i_a] and converged[i_b]),
     )
 

@@ -7,9 +7,10 @@ images of bilinear maps, and the single-vector concentration experiment
 (how often |Phi r| strays from |r| by more than delta/2, against the
 2 exp(-c0 M) ceiling).
 
-Trials draw their randomness from per-trial child streams spawned off
-the master seed, so trial t is reproducible regardless of execution
-order and results merge associatively.  Everything runs single-threaded
+Concentration trials draw from per-trial child streams spawned off the
+master seed, so trial t is reproducible regardless of execution order
+and results merge associatively; distortion sweeps draw their cone
+pairs from `rnmp.cone_pair_blocks`.  Everything runs single-threaded
 here; the stream layout is what makes parallel runs legal.
 """
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from .bilinear_ops import BilinearMapSpec
 from .bounds import c0
-from .rnmp import apply_restricted_batch, basis_images
-from .sparse_model import DEGENERATE_NORM, ConeSpec, row_norms, unit_cone_coefficients
+from .rnmp import basis_images, cone_pair_blocks
+from .sparse_model import DEGENERATE_NORM, ConeSpec
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -35,9 +36,6 @@ _SIZE_GUARD = 10 ** 7
 
 # levels of the |distortion| quantiles a DistortionReport carries
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
-
-# rows per block of measured images in rip_monte_carlo
-_NORM_ROWS = 4096
 
 # row k: the two signs of a raw word whose bits 31 and 63 spell k = b31 + 2 b63
 _SIGN_PAIRS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
@@ -132,15 +130,14 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     """Sample unit cone pairs, push them through the map, and record
     |distortion| of the images under one fixed matrix realization.
 
-    The pairs are drawn as support coefficients and mapped through the
-    cone pair's basis images (`rnmp.apply_restricted_batch`) onto their
-    output support, K of the N coordinates, where their norms are taken
-    column by column and Phi z is measured with the K columns of Phi, in
-    blocks of _NORM_ROWS images: no array spans N.  The norms keep the
-    bits of the full-length images; Phi z keeps them while the support
-    lies in one 256-wide block of OpenBLAS's gemm (always at N <= 256)
-    and more than one sample is measured, else it may differ in the
-    last bit.
+    The pairs are `estimate_brute`'s at the same seed, taken block by
+    block from `rnmp.cone_pair_blocks` with their images on the output
+    support, K of the N coordinates; each block's Phi z is measured with
+    the K columns of Phi, so no array spans N or the whole sweep (save
+    the distortions).  The norms keep the bits of the full-length
+    images; Phi z keeps them while the support lies in one 256-wide
+    block of OpenBLAS's gemm (always at N <= 256) and more than one
+    sample of its block is measured, else it may differ in the last bit.
 
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
     (e.g. orthonormalized rows for the isometry control).  Outputs with
@@ -164,26 +161,18 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
                              f"got shape {phi.shape}")
         ensemble_seed = None
 
-    ss_x, ss_y = np.random.SeedSequence(seed).spawn(2)
-    xc = unit_cone_coefficients(cone_x, n_samples, np.random.default_rng(ss_x))
-    yc = unit_cone_coefficients(cone_y, n_samples, np.random.default_rng(ss_y))
-    support, zs = apply_restricted_batch(
-        basis_images(map_spec, cone_x.support, cone_y.support), xc, yc)
-    norms = row_norms(zs, support, map_spec.ambient_dim)
-    keep = norms >= DEGENERATE_NORM
-    skipped = int(np.sum(~keep))
-    if not np.any(keep):
+    images = basis_images(map_spec, cone_x.support, cone_y.support)
+    parts, skipped = [], 0
+    for _, _, support, zs, norms in cone_pair_blocks(images, cone_x, cone_y, n_samples, seed):
+        keep = norms >= DEGENERATE_NORM
+        if not keep.all():
+            skipped += int(np.sum(~keep))
+            zs, norms = zs[keep], norms[keep]
+        parts.append(np.abs(np.linalg.norm(zs @ phi[:, support].T, axis=1) / norms - 1.0))
+    abs_dist = np.concatenate(parts)
+    if not abs_dist.size:
         raise ValueError(f"all sampled outputs were degenerate (norm < {DEGENERATE_NORM}); "
                          "the cone pair looks null under this map")
-
-    if skipped:
-        zs, norms = zs[keep], norms[keep]
-    # the last block takes a lone last row: a one-row product is a gemv
-    phi_t = phi[:, support].T
-    cuts = range(_NORM_ROWS, zs.shape[0] - 1, _NORM_ROWS)
-    image_norms = np.concatenate([np.linalg.norm(block @ phi_t, axis=1)
-                                  for block in np.split(zs, cuts)])
-    abs_dist = np.abs(image_norms / norms - 1.0)
     qs = tuple((float(q), float(np.quantile(abs_dist, q))) for q in QUANTILE_LEVELS)
     return DistortionReport(
         n_samples=int(abs_dist.size),

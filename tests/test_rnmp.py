@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -9,7 +10,7 @@ from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, apply_map_batch, dft_unitary)
 from bilinear_cs.rnmp import (GRID_GUARD, RnmpEstimate,
-                              _covering_radius, _sphere_grid, _starts,
+                              _covering_radius, _sphere_grid,
                               apply_restricted_batch, basis_images,
                               certify_exhaustive, estimate_alternating,
                               estimate_brute)
@@ -135,7 +136,7 @@ def test_brute_matches_dense_sweep_bitwise(n, i_idx, j_idx, kind, cone_kind):
     spec = BilinearMapSpec(kind, n)
     cx = ConeSpec(support_from_indices(i_idx, n), cone_kind)
     cy = ConeSpec(support_from_indices(j_idx, n), cone_kind)
-    # two batches, the second of one sample
+    # a lone last sample, which joins the block before it
     samples = rnmp._brute_rows(basis_images(spec, cx.support, cy.support)) + 1
     est = estimate_brute(spec, cx, cy, samples=samples, seed=n)
     alpha, beta, wit_a, wit_b = dense_brute(spec, cx, cy, samples, seed=n)
@@ -300,8 +301,6 @@ def test_alternating_determinism_and_validation():
     assert a.alpha_est == b.alpha_est and a.beta_est == b.beta_est
     with pytest.raises(ValueError):
         estimate_alternating(spec, cx, cy, restarts=0)
-    with pytest.raises(ValueError):
-        estimate_alternating(spec, cx, cy, tol=0.0)
 
 
 def lone_alternating(spec, cone_x, cone_y, restarts, max_iters, tol, seed):
@@ -352,10 +351,10 @@ def lone_alternating(spec, cone_x, cone_y, restarts, max_iters, tol, seed):
         return current, x, y, (max_iters, False)
 
     best_a, best_b, runs = np.inf, -np.inf, []
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        x0 = unit_cone_coefficients(cone_x, 1, rng)[0]
-        y0 = unit_cone_coefficients(cone_y, 1, rng)[0]
+    rng_x, rng_y = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    starts = zip(unit_cone_coefficients(cone_x, restarts, rng_x),
+                 unit_cone_coefficients(cone_y, restarts, rng_y))
+    for x0, y0 in starts:
         val, x, y, stop = run(x0, y0, "min")
         runs.append(stop)
         if val < best_a:
@@ -407,6 +406,58 @@ def test_alternating_stack_matches_lone_runs_bitwise(max_iters):
         assert any(len(stops) > 1 for stops in stack_stops)
     if max_iters < 200:
         assert {ok for stops in stack_stops for _, ok in stops} == {True, False}
+
+
+@pytest.mark.parametrize("budget", [None, 3 * (3 + 2 + 6 + 6)])
+@pytest.mark.parametrize("kind_x, kind_y", [(SUBSPACE, SUBSPACE), (POSITIVE_ORTHANT, SUBSPACE)])
+def test_alternating_starts_are_the_first_pairs_of_the_brute_sweep(monkeypatch, budget,
+                                                                   kind_x, kind_y):
+    # the budget of three samples a block spreads the 8 starts over three
+    # blocks (the output support of I + J has 6 of the 8 coordinates)
+    if budget:
+        monkeypatch.setattr(rnmp, "_BLOCK", budget)
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 8)
+    cx = ConeSpec(support_from_indices([0, 2, 3], 8), kind_x)
+    cy = ConeSpec(support_from_indices([1, 5], 8), kind_y)
+    swept, started = [], []
+    real_apply, real_alternate = rnmp.apply_restricted_batch, rnmp._alternate
+
+    def apply(images, xc, yc):
+        swept.append((xc.copy(), yc.copy()))
+        return real_apply(images, xc, yc)
+
+    def alternate(images, kinds, x, y, *rest):
+        started.append((x.copy(), y.copy()))
+        return real_alternate(images, kinds, x, y, *rest)
+
+    monkeypatch.setattr(rnmp, "apply_restricted_batch", apply)
+    monkeypatch.setattr(rnmp, "_alternate", alternate)
+    estimate_brute(spec, cx, cy, samples=50, seed=17)
+    sweep_x, sweep_y = (np.concatenate(side) for side in zip(*swept))
+    estimate_alternating(spec, cx, cy, restarts=8, seed=17)
+    (x, y), = started
+    # members 0..7 are the min runs and 8..15 the max runs of the 8 restarts
+    for members in (slice(0, 8), slice(8, 16)):
+        assert np.array_equal(x[members], sweep_x[:8])
+        assert np.array_equal(y[members], sweep_y[:8])
+
+
+@pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION, UNITARY_PRODUCT])
+def test_alternating_is_as_extreme_as_the_brute_sweep_of_its_starts(kind):
+    # updates only improve, so the runs end at least as extreme as their
+    # starts; the starts' ratios are taken by other sums, so allow 4 ulp.
+    # Starts drawn apart from the sweep fail this on some pairs below
+    supports = ALTERNATING_SUPPORTS + [(4, [0, 2], [0, 2]), (5, [0, 1, 3], [1, 3, 4])]
+    for n, i_idx, j_idx in supports:
+        spec = BilinearMapSpec(kind, n, unitary=dft_unitary(n) if kind == UNITARY_PRODUCT else None)
+        for kind_x, kind_y in itertools.product(CONE_KINDS, repeat=2):
+            cx = ConeSpec(support_from_indices(i_idx, n), kind_x)
+            cy = ConeSpec(support_from_indices(j_idx, n), kind_y)
+            for restarts, seed in itertools.product((1, 2), range(6)):
+                alt = estimate_alternating(spec, cx, cy, restarts=restarts, seed=seed)
+                brute = estimate_brute(spec, cx, cy, samples=restarts, seed=seed)
+                assert alt.alpha_est <= brute.alpha_est + 4 * np.spacing(brute.alpha_est)
+                assert alt.beta_est >= brute.beta_est - 4 * np.spacing(brute.beta_est)
 
 
 def meshgrid_sphere(dim, kind, g):
@@ -518,52 +569,6 @@ def test_estimate_json_round_trip_fields():
     assert d["method"] == "brute"
     assert d["support_x"] == {"n": 4, "indices": [0, 2]}
     assert len(d["alpha_witness_x"]) == 4
-
-
-REAL_DEFAULT_RNG = np.random.default_rng
-
-
-class ZeroedStream:
-    """Generator stand-in: the normals of default_rng(child) with stream
-    positions lo..hi-1 set to 0.0, however the draws are split."""
-
-    def __init__(self, child, lo, hi):
-        self.rng = REAL_DEFAULT_RNG(child)
-        self.lo, self.hi, self.drawn = lo, hi, 0
-
-    def standard_normal(self, shape):
-        g = self.rng.standard_normal(shape)
-        flat = g.reshape(-1)
-        at = self.drawn + np.arange(flat.size)
-        flat[(at >= self.lo) & (at < self.hi)] = 0.0
-        self.drawn += flat.size
-        return g
-
-
-@pytest.mark.parametrize("side", ["x", "y"])
-@pytest.mark.parametrize("kind_x, kind_y", [(SUBSPACE, SUBSPACE),
-                                            (POSITIVE_ORTHANT, SUBSPACE)])
-def test_degenerate_starts_are_redrawn_in_stream_order(monkeypatch, side, kind_x, kind_y):
-    cx = ConeSpec(support_from_indices([0, 2, 3], 8), kind_x)
-    cy = ConeSpec(support_from_indices([1, 5], 8), kind_y)
-    s, f = cx.dim, cy.dim
-    # restart 2 draws a zero x (or y) row first
-    lo, hi = (0, s) if side == "x" else (s, s + f)
-    monkeypatch.setattr(np.random, "default_rng", lambda child: ZeroedStream(
-        child, *((lo, hi) if child.spawn_key[-1] == 2 else (0, 0))))
-    x0, y0 = _starts(cx, cy, 5, seed=17)
-    for t, child in enumerate(np.random.SeedSequence(17).spawn(5)):
-        rng = np.random.default_rng(child)
-        assert np.array_equal(x0[t], unit_cone_coefficients(cx, 1, rng)[0])
-        assert np.array_equal(y0[t], unit_cone_coefficients(cy, 1, rng)[0])
-    # the redraw takes the next normals of the same stream
-    stream = REAL_DEFAULT_RNG(np.random.SeedSequence(17).spawn(5)[2]).standard_normal(s + 2 * f + s)
-    want_x, want_y = (stream[s:2 * s], stream[2 * s:2 * s + f]) if side == "x" else (
-        stream[:s], stream[s + f:s + 2 * f])
-    unit = {SUBSPACE: lambda v: v / np.linalg.norm(v),
-            POSITIVE_ORTHANT: lambda v: np.abs(v / np.linalg.norm(v))}
-    assert np.array_equal(x0[2], unit[kind_x](want_x))
-    assert np.array_equal(y0[2], unit[kind_y](want_y))
 
 
 def product_grid(spec, cone_x, cone_y, g):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bilinear_cs import cli, sensing
+from bilinear_cs import cli, rnmp, sensing
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       BilinearMapSpec, apply_map_batch)
 from bilinear_cs.bounds import c0
@@ -175,6 +175,22 @@ def test_rip_monte_carlo_memory_does_not_grow_with_n(n):
     assert peak < 16e6, peak
 
 
+def test_rip_monte_carlo_memory_does_not_grow_with_the_sweep():
+    # the pairs are drawn, mapped and measured a block at a time, so only
+    # the per-sample distortions (1.6 MB here) span the sweep; drawing the
+    # whole sweep at once peaked near 40 MB
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 256)
+    cx, cy = cone(256, [0, 5, 17]), cone(256, [2, 3, 40])
+    ensemble = MeasurementEnsemble(GAUSSIAN, 64, 256, 1)
+    tracemalloc.start()
+    try:
+        rip_monte_carlo(spec, cx, cy, ensemble, n_samples=200_000, delta=0.5, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
 def test_rip_monte_carlo_skips_a_degenerate_row(monkeypatch):
     # a zero coefficient row has a zero image: it is skipped and counted,
     # and every other sample keeps its order and its bits
@@ -182,7 +198,7 @@ def test_rip_monte_carlo_skips_a_degenerate_row(monkeypatch):
     cx, cy = cone(16, [0, 1, 5]), cone(16, [2, 3])
     phi = generate(MeasurementEnsemble(GAUSSIAN, 8, 16, 4))
     full = rip_monte_carlo(spec, cx, cy, phi, n_samples=50, delta=0.5, seed=7)
-    draw = sensing.unit_cone_coefficients
+    draw = rnmp.unit_cone_coefficients
 
     def draw_with_zero_row(cone_spec, count, rng):
         out = draw(cone_spec, count, rng)
@@ -190,7 +206,7 @@ def test_rip_monte_carlo_skips_a_degenerate_row(monkeypatch):
             out[17] = 0.0
         return out
 
-    monkeypatch.setattr(sensing, "unit_cone_coefficients", draw_with_zero_row)
+    monkeypatch.setattr(rnmp, "unit_cone_coefficients", draw_with_zero_row)
     rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=50, delta=0.5, seed=7)
     assert rep.skipped == 1 and rep.n_samples == 49
     assert np.array_equal(rep.abs_distortions, np.delete(full.abs_distortions, 17))
