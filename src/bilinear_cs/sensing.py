@@ -8,10 +8,10 @@ images of bilinear maps, and the single-vector concentration experiment
 2 exp(-c0 M) ceiling).
 
 Concentration trials draw from per-trial child streams spawned off the
-master seed, so trial t is reproducible regardless of execution order
-and results merge associatively; distortion sweeps draw their cone
-pairs from `rnmp.cone_pair_blocks`.  Everything runs single-threaded
-here; the stream layout is what makes parallel runs legal.
+master seed (seeded in one vectorized pass), so trial t is reproducible
+in any execution order and results merge associatively; distortion
+sweeps draw their cone pairs from `rnmp.cone_pair_blocks`.  All of it
+runs single-threaded; the stream layout is what makes parallel runs legal.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bilinear_ops import BilinearMapSpec
 from .bounds import c0
@@ -37,8 +38,9 @@ _SIZE_GUARD = 10 ** 7
 # levels of the |distortion| quantiles a DistortionReport carries
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
-# row k: the two signs of a raw word whose bits 31 and 63 spell k = b31 + 2 b63
-_SIGN_PAIRS = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+# numpy SeedSequence's hash constants: hashmix, mix and generate_state
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     if not abs_dist.size:
         raise ValueError(f"all sampled outputs were degenerate (norm < {DEGENERATE_NORM}); "
                          "the cone pair looks null under this map")
-    qs = tuple((float(q), float(np.quantile(abs_dist, q))) for q in QUANTILE_LEVELS)
+    qs = tuple(zip(QUANTILE_LEVELS, np.quantile(abs_dist, QUANTILE_LEVELS).tolist()))
     return DistortionReport(
         n_samples=int(abs_dist.size),
         skipped=skipped,
@@ -193,10 +195,9 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
 class ConcentrationResult:
     """Outcome of the single-vector concentration experiment.
 
-    Unpacks as (empirical_rate, theory_rate).  `ratios` holds the
-    per-trial |Phi r| / |r| values (kept for diagnostics, not
-    serialized); theory_rate is the raw ceiling 2 exp(-c0(delta) M),
-    which can exceed 1 at small M.
+    `ratios` holds the per-trial |Phi r| / |r| values (kept for
+    diagnostics, not serialized); theory_rate is the raw ceiling
+    2 exp(-c0(delta) M), which can exceed 1 at small M.
     """
 
     empirical_rate: float
@@ -211,8 +212,35 @@ class ConcentrationResult:
     def __post_init__(self):
         self.ratios.setflags(write=False)
 
-    def __iter__(self):
-        return iter((self.empirical_rate, self.theory_rate))
+
+@dataclass
+class _SeedWords(ISeedSequence):
+    """SFC64's three seed words: one row of `_spawned_sfc64_states`."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _spawned_sfc64_states(seed: int, n: int) -> np.ndarray:
+    """(n, 3) uint64 array whose row t is `SeedSequence(seed).spawn(n)[t]
+    .generate_state(3, np.uint64)`: the spawn key t hashed into the
+    parent's pool (after its 16 + 4 max(0, w - 4) hashmix calls for a
+    w-word seed), then hashed out, for all t at once in wrapping uint32."""
+    if n >= 2 ** 32:
+        raise ValueError(f"spawn keys are one 32-bit word: need n < 2**32, got {n}")
+    pool = np.random.SeedSequence(seed).pool  # validates the seed
+    k = 16 + 4 * max(0, (int(seed).bit_length() + 31) // 32 - 4)  # w: the seed in 32-bit words
+    # hashmix: xor hash constant i, multiply by constant i + 1, xorshift by 16
+    a = np.array([_INIT_A * pow(_MULT_A, i, 2**32) % 2**32 for i in range(k, k + 5)], np.uint32)
+    b = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32 for i in range(7)], np.uint32)
+    h = (np.arange(n, dtype=np.uint32)[:, None] ^ a[:-1]) * a[1:]
+    pool = _MIX_L * pool - _MIX_R * (h ^ h >> 16)
+    pool ^= pool >> 16
+    h = (pool[:, [0, 1, 2, 3, 0, 1]] ^ b[:-1]) * b[1:]  # six words, cycling the pool
+    # word pairs, low word first, as generate_state joins them
+    return np.ascontiguousarray(h ^ h >> 16, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def concentration_test(r: np.ndarray,
@@ -225,14 +253,15 @@ def concentration_test(r: np.ndarray,
     The template's seed is the master seed; trial t uses the t-th
     spawned child stream (SFC64 here for throughput; the stream layout,
     not the bit generator, is what fixes reproducibility).  Needs
-    trials >= 100 so the empirical rate means anything.
+    100 <= trials < 2**32 so the empirical rate means anything.
 
     Gaussian trials draw Phi r itself, not Phi: with i.i.d. N(0, 1/M)
     entries, Phi r ~ N(0, |r|^2/M I_M) exactly, so |Phi r| / |r| has
     the law of |g| / sqrt(M) for g ~ N(0, I_M), and a trial costs M
     normals instead of M*N.  Rademacher Phi r has no such closed form,
-    so those trials draw the full M x N sign matrix, bit for bit as
-    `integers(0, 2)` would (a test pins this), from raw SFC64 words.
+    so those trials draw the raw SFC64 words of the full M x N sign
+    matrix, as `integers(0, 2)` would bit for bit (a test pins this),
+    and decode only the M |supp(r)| signs that meet r's nonzeros.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -248,35 +277,36 @@ def concentration_test(r: np.ndarray,
 
     m = ensemble_template.rows
     cols = ensemble_template.cols
-    children = np.random.SeedSequence(ensemble_template.seed).spawn(trials)
+    states = _spawned_sfc64_states(ensemble_template.seed, trials)
     ratios = np.empty(trials)
     # hot loop: SFC64 streams and unscaled draws (the 1/sqrt(M) factor
     # moves into the final norm); gaussian trials draw only the M
     # entries of sqrt(M) Phi r / |r| (see the docstring).  For int64
     # output `integers(0, 2)` keeps bit 31 of each 32-bit half of a raw
     # word, low half first, and a fresh SFC64 holds no buffered half, so
-    # rademacher trials code a word's two bits as 0..3 and take its sign
-    # pair into one reused M x N buffer ("clip" only skips the range check)
+    # sign k is 1 where half k (of the little-endian words) is negative
+    # as an int32, else -1.  Rademacher trials write copysign(1, half k),
+    # minus sign k, only at the entries k in supp(r)'s columns of one
+    # reused M x N buffer that is 0 elsewhere: the product is then
+    # exactly minus signs @ r, and its norm keeps its bits
     root_m = math.sqrt(m)
     scale = root_m * norm_r
     if ensemble_template.kind == GAUSSIAN:
-        for t, child in enumerate(children):
-            gen = np.random.Generator(np.random.SFC64(child))
-            ratios[t] = np.linalg.norm(gen.standard_normal(m)) / root_m
+        for t, state in enumerate(states):
+            g = np.random.Generator(np.random.SFC64(_SeedWords(state))).standard_normal(m)
+            ratios[t] = math.sqrt(g.dot(g)) / root_m  # np.linalg.norm(g), bit for bit
     else:
         words = (m * cols + 1) // 2
-        code, low = np.empty(words, dtype=np.uint64), np.empty(words, dtype=np.uint64)
-        pairs = np.empty((words, 2))
-        signs = pairs.reshape(-1)[:m * cols].reshape(m, cols)
-        for t, child in enumerate(children):
-            raw = np.random.SFC64(child).random_raw(words)
-            np.right_shift(raw, 62, out=code)
-            np.bitwise_and(code, 2, out=code)
-            np.right_shift(raw, 31, out=low)
-            np.bitwise_and(low, 1, out=low)
-            np.bitwise_or(code, low, out=code)
-            np.take(_SIGN_PAIRS, code, axis=0, out=pairs, mode="clip")
-            ratios[t] = np.linalg.norm(signs @ r) / scale
+        pos = (np.arange(m)[:, None] * cols + np.flatnonzero(r)).ravel()
+        pos = slice(0, m * cols) if pos.size == m * cols else pos  # a view for dense r
+        flat = np.zeros(m * cols)
+        signs, decoded = flat.reshape(m, cols), flat[pos]
+        for t, state in enumerate(states):
+            raw = np.random.SFC64(_SeedWords(state)).random_raw(words)
+            np.copysign(1.0, raw.astype("<u8", copy=False).view("<i4")[pos], out=decoded)
+            flat[pos] = decoded  # a no-op when decoded is a view of flat
+            y = signs @ r
+            ratios[t] = math.sqrt(y.dot(y)) / scale
 
     violations = int(np.sum(np.abs(ratios - 1.0) > delta / 2.0))
     return ConcentrationResult(

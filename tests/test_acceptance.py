@@ -178,8 +178,8 @@ def test_criterion_06_single_vector_concentration():
     t0 = time.time()
     trials = 100_000
     ensemble = MeasurementEnsemble(GAUSSIAN, 500, 500, 0)
-    empirical, theory = concentration_test(np.ones(500), ensemble,
-                                           trials=trials, delta=0.5)
+    res = concentration_test(np.ones(500), ensemble, trials=trials, delta=0.5)
+    empirical, theory = res.empirical_rate, res.theory_rate
     stderr3 = 3.0 * math.sqrt(theory * (1.0 - theory) / trials)
     assert empirical <= theory + stderr3, (empirical, theory, stderr3)
     _report(6, time.time() - t0, 300.0,

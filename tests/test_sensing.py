@@ -95,10 +95,22 @@ def test_rip_monte_carlo_report_internally_consistent():
     assert rep.max_abs_distortion == float(np.max(rep.abs_distortions))
     for q, v in rep.quantiles:
         assert v <= rep.max_abs_distortion
-        assert abs(v - float(np.quantile(rep.abs_distortions, q))) < 1e-12
+        assert v == float(np.quantile(rep.abs_distortions, q))
     j = json.loads(cli.json_text(rep))
     assert "abs_distortions" not in j
     assert j["exceed_count"] == rep.exceed_count
+
+
+@pytest.mark.parametrize("x", [np.array([0.25]),
+                               np.array([0.5, 0.1, 0.5, 0.5, 0.1, 0.3, 0.5]),
+                               np.random.default_rng(3).random(20_000)],
+                         ids=["one", "ties", "20000"])
+def test_quantiles_in_one_call_match_per_level_calls(x):
+    # rip_monte_carlo takes every level in one np.quantile call; each
+    # value must be the per-level call's to the bit
+    one_call = np.quantile(x, sensing.QUANTILE_LEVELS)
+    for got, q in zip(one_call.tolist(), sensing.QUANTILE_LEVELS):
+        assert got == float(np.quantile(x, q))
 
 
 def test_rip_monte_carlo_single_sample_and_matrix_input():
@@ -288,13 +300,12 @@ def test_concentration_validation():
         concentration_test(r, e, trials=100, delta=1.0)
 
 
-def test_concentration_unpacks_and_reports_theory():
+def test_concentration_reports_theory():
     e = MeasurementEnsemble(GAUSSIAN, 32, 64, 5)
     r = np.ones(64)
     res = concentration_test(r, e, trials=120, delta=0.5)
-    emp, theory = res
-    assert emp == res.empirical_rate
-    assert theory == 2.0 * math.exp(-c0(0.5) * 32)
+    assert res.empirical_rate == res.violations / 120
+    assert res.theory_rate == 2.0 * math.exp(-c0(0.5) * 32)
     assert res.violations == int(np.sum(np.abs(res.ratios - 1.0) > 0.25))
     assert res.trials == 120
     assert "ratios" not in json.loads(cli.json_text(res))
@@ -337,21 +348,36 @@ def test_concentration_empirical_under_theory_across_seeds():
     r = np.ones(200)
     for seed in range(1, 11):
         e = MeasurementEnsemble(GAUSSIAN, 200, 200, seed)
-        emp, theory = concentration_test(r, e, trials=150, delta=0.5)
-        assert emp <= theory
+        res = concentration_test(r, e, trials=150, delta=0.5)
+        assert res.empirical_rate <= res.theory_rate
     e = MeasurementEnsemble(RADEMACHER, 200, 200, 1)
-    emp, theory = concentration_test(r, e, trials=150, delta=0.5)
-    assert emp <= theory
+    res = concentration_test(r, e, trials=150, delta=0.5)
+    assert res.empirical_rate <= res.theory_rate
 
 
+def _test_vectors(n):
+    # e_0 (the CLI default), e_{N-1}, 2- and 3-sparse and dense r
+    rng = np.random.default_rng(n)
+    vectors = {"e0": np.eye(n)[0], "elast": np.eye(n)[-1],
+               "dense": rng.standard_normal(n)}
+    for k in (2, 3):
+        r = np.zeros(n)
+        idx = rng.choice(n, size=min(k, n), replace=False)
+        r[idx] = rng.standard_normal(idx.size)
+        vectors[f"sparse{k}"] = r
+    return vectors
+
+
+@pytest.mark.parametrize("kind", ["e0", "elast", "sparse2", "sparse3", "dense"])
 @pytest.mark.parametrize("n,m", [(128, 32), (128, 64), (256, 64), (256, 128),
                                  (200, 200), (7, 3), (201, 199), (1, 1)])
-def test_concentration_rademacher_ratios_match_integers_draws(n, m):
-    # each trial's signs come from raw SFC64 words; they must be the very
-    # bits Generator.integers(0, 2) gives on the trial's stream, with odd
-    # M*N (a dropped high half) included; this also guards against a
-    # numpy release that lays out the bits of integers differently
-    r = np.random.default_rng(n * m).standard_normal(n)
+def test_concentration_rademacher_ratios_match_integers_draws(n, m, kind):
+    # each trial's signs come from raw SFC64 words, decoded only where r
+    # is nonzero; Phi r must keep the bits of the full Generator.integers(0, 2)
+    # matrix on the trial's stream, with odd M*N (a dropped high half)
+    # included; this also guards against a numpy release that lays out
+    # the bits of integers differently
+    r = _test_vectors(n)[kind]
     e = MeasurementEnsemble(RADEMACHER, m, n, 1000 + m)
     got = concentration_test(r, e, trials=100, delta=0.5).ratios
     scale = math.sqrt(m) * float(np.linalg.norm(r))
@@ -361,6 +387,69 @@ def test_concentration_rademacher_ratios_match_integers_draws(n, m):
         signs = 2.0 * gen.integers(0, 2, size=(m, n)) - 1.0
         ref.append(np.linalg.norm(signs @ r) / scale)
     assert np.array_equal(got, np.array(ref))
+
+
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 128, 2 ** 200 + 11,
+         10 ** 30, 123 * 10 ** 30]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_spawned_states_match_numpy_spawn(seed):
+    for n in (1, 2, 100, 257):
+        ref = [c.generate_state(3, np.uint64)
+               for c in np.random.SeedSequence(seed).spawn(n)]
+        got = sensing._spawned_sfc64_states(seed, n)
+        assert got.dtype == np.uint64 and got.shape == (n, 3)
+        assert np.array_equal(got, np.array(ref)), (seed, n)
+
+
+def test_spawned_states_reject_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match=str(numpy_error.value)):
+        sensing._spawned_sfc64_states(-1, 100)
+    with pytest.raises(ValueError, match=str(numpy_error.value)):
+        concentration_test(np.ones(4), MeasurementEnsemble(GAUSSIAN, 2, 4, -1), 100, 0.5)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 10 ** 30])
+def test_sfc64_from_a_state_row_matches_sfc64_from_the_child(seed):
+    rows = sensing._spawned_sfc64_states(seed, 5)
+    for row, child in zip(rows, np.random.SeedSequence(seed).spawn(5)):
+        got = np.random.SFC64(sensing._SeedWords(row)).random_raw(64)
+        assert np.array_equal(got, np.random.SFC64(child).random_raw(64))
+
+
+def test_spawn_keys_past_one_word_raise_before_allocating():
+    # keys are built as uint32, so 2**32 trials would wrap key 0 around;
+    # the check comes first, so neither call allocates anything sized by n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            sensing._spawned_sfc64_states(0, 2 ** 32)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            concentration_test(np.ones(4), MeasurementEnsemble(RADEMACHER, 2, 4, 0),
+                               2 ** 32, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+def test_concentration_does_not_spawn_seed_sequences(monkeypatch):
+    # the children's seed words come from one vectorized pass, not from
+    # numpy's per-child spawn
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("SeedSequence.spawn called")
+
+    r = _test_vectors(16)["sparse3"]
+    want = [concentration_test(r, MeasurementEnsemble(kind, 8, 16, 3), 100, 0.5).ratios
+            for kind in (GAUSSIAN, RADEMACHER)]
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    for kind, ratios in zip((GAUSSIAN, RADEMACHER), want):
+        res = concentration_test(r, MeasurementEnsemble(kind, 8, 16, 3), 100, 0.5)
+        assert np.array_equal(res.ratios, ratios)
 
 
 def _chi2_even_sf(x, k):
