@@ -123,29 +123,23 @@ class NormBoundCheck:
     """Outcome of one norm-inequality evaluation.
 
     `satisfied` means rhs_lower <= lhs <= rhs_upper up to 1e-9 relative
-    slack on each active side; `slack` is the margin to the nearest bound
-    (rhs_upper - lhs when no lower bound is present).
+    slack on each side; `slack` is the margin to the nearer bound.
     """
 
     lhs: float
     rhs_upper: float
-    rhs_lower: Optional[float]
+    rhs_lower: float
     satisfied: bool
     slack: float
 
     @staticmethod
-    def evaluate(lhs: float, rhs_upper: float,
-                 rhs_lower: Optional[float] = None) -> "NormBoundCheck":
+    def evaluate(lhs: float, rhs_upper: float, rhs_lower: float) -> "NormBoundCheck":
         ref = max(1.0, abs(lhs), abs(rhs_upper))
-        ok = lhs <= rhs_upper + ANALYTIC_RTOL * ref
-        slack = rhs_upper - lhs
-        if rhs_lower is not None:
-            ref_lo = max(1.0, abs(lhs), abs(rhs_lower))
-            ok = ok and (lhs >= rhs_lower - ANALYTIC_RTOL * ref_lo)
-            slack = min(slack, lhs - rhs_lower)
-        return NormBoundCheck(float(lhs), float(rhs_upper),
-                              None if rhs_lower is None else float(rhs_lower),
-                              bool(ok), float(slack))
+        ref_lo = max(1.0, abs(lhs), abs(rhs_lower))
+        ok = (lhs <= rhs_upper + ANALYTIC_RTOL * ref
+              and lhs >= rhs_lower - ANALYTIC_RTOL * ref_lo)
+        return NormBoundCheck(float(lhs), float(rhs_upper), float(rhs_lower), bool(ok),
+                              float(min(rhs_upper - lhs, lhs - rhs_lower)))
 
 
 def check_positive_cone_bounds(s, h) -> NormBoundCheck:

@@ -135,6 +135,20 @@ def application_probability(case: str, s: int, f: int, delta: float, m: int) -> 
 
 
 @dataclass(frozen=True)
+class BoundInputs:
+    """The model and case a BoundReport evaluates."""
+
+    alpha: float
+    beta: float
+    delta: float
+    m: int
+    s: int
+    f: int
+    n: Optional[int]
+    case: str
+
+
+@dataclass(frozen=True)
 class BoundReport:
     """Assembled bound evaluation: constants, covering numbers, raw and
     clamped success probability, plus the inputs that produced them."""
@@ -145,34 +159,7 @@ class BoundReport:
     covering_y: float
     success_probability_lower: float  # raw, may be negative
     success_probability_clamped: float
-    alpha: float
-    beta: float
-    delta: float
-    m: int
-    s: int
-    f: int
-    n: Optional[int]
-    case: str
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "c0": self.c0,
-            "covering_x": self.covering_x,
-            "covering_y": self.covering_y,
-            "success_probability_lower": self.success_probability_lower,
-            "success_probability_clamped": self.success_probability_clamped,
-            "inputs": {
-                "alpha": self.alpha,
-                "beta": self.beta,
-                "delta": self.delta,
-                "m": self.m,
-                "s": self.s,
-                "f": self.f,
-                "n": self.n,
-                "case": self.case,
-            },
-        }
+    inputs: BoundInputs
 
 
 def compose_bound_report(case: str, s: int, f: int, delta: float, m: int,
@@ -192,19 +179,25 @@ def compose_bound_report(case: str, s: int, f: int, delta: float, m: int,
         covering_y=cov_y,
         success_probability_lower=raw,
         success_probability_clamped=min(1.0, max(0.0, raw)),
-        alpha=1.0,
-        beta=beta,
-        delta=delta,
-        m=m,
-        s=s,
-        f=f,
-        n=n,
-        case=case,
+        inputs=BoundInputs(alpha=1.0, beta=beta, delta=delta, m=m, s=s, f=f, n=n,
+                           case=case),
     )
 
 
 def _log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+@dataclass(frozen=True)
+class SampleCountInputs:
+    """The model, case and failure target a SampleCountReport solves for."""
+
+    n: int
+    s: int
+    f: int
+    delta: float
+    p_target: float
+    case: str
 
 
 @dataclass(frozen=True)
@@ -217,28 +210,7 @@ class SampleCountReport:
     m_loose: int
     log_pairs_exact: float
     log_pairs_loose: float
-    n: int
-    s: int
-    f: int
-    delta: float
-    p_target: float
-    case: str
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "m_loose": self.m_loose,
-            "log_pairs_exact": self.log_pairs_exact,
-            "log_pairs_loose": self.log_pairs_loose,
-            "inputs": {
-                "n": self.n,
-                "s": self.s,
-                "f": self.f,
-                "delta": self.delta,
-                "p_target": self.p_target,
-                "case": self.case,
-            },
-        }
+    inputs: SampleCountInputs
 
 
 def union_bound_samples(n: int, s: int, f: int, delta: float, p_target: float,
@@ -272,10 +244,5 @@ def union_bound_samples(n: int, s: int, f: int, delta: float, p_target: float,
         m_loose=solve(log_l_loose),
         log_pairs_exact=log_l_exact,
         log_pairs_loose=log_l_loose,
-        n=n,
-        s=s,
-        f=f,
-        delta=delta,
-        p_target=p_target,
-        case=case,
+        inputs=SampleCountInputs(n=n, s=s, f=f, delta=delta, p_target=p_target, case=case),
     )

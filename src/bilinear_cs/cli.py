@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import operator
 import sys
@@ -114,20 +115,28 @@ def load_config(path: str, seed_override: Optional[int] = None,
 # deterministic serialization
 
 
+@functools.cache
+def _json_keys(cls) -> tuple:
+    """(JSON key, field name) of each field of a dataclass type that its
+    JSON holds: the key `field(metadata={"json": key})` names, by default
+    the field's own name, and no field marked `{"json": False}` (per-sample
+    arrays, which go only to CSV).  Cached per type: each fresh
+    `dataclasses.fields` tuple leaves one more tuple on CPython's free
+    list, up to 2000 of each size."""
+    return tuple((f.metadata.get("json", f.name), f.name) for f in dataclasses.fields(cls)
+                 if f.metadata.get("json") is not False)
+
+
 def _plain(obj):
     """What json.dumps writes for a value it has no rule for: an array's
-    list, a numpy scalar's Python value, a report's `to_json()`, or a
-    dataclass's fields less those marked `field(metadata={"json": False})`
-    (per-sample arrays, which go only to CSV)."""
+    list, a numpy scalar's Python value, or a dataclass's fields under
+    their JSON keys (`_json_keys`)."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
     if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-                if f.metadata.get("json", True)}
+        return {key: getattr(obj, name) for key, name in _json_keys(type(obj))}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -208,8 +217,7 @@ _PARAMETERS = {
     "bounds": {"case": ("str", REQUIRED, CASES), "S": ("int", REQUIRED, ">= 2"),
                "F": ("int", REQUIRED, ">= 2"), "delta": _DELTA,
                "M": ("int", None, ">= 1"), "m_grid": ("ints", None, ">= 1"),
-               "N": ("int", None, ">= 1"), "alpha": ("float", None, None),
-               "beta": ("float", None, None), "p_target": ("float", None, "> 0, <= 1"),
+               "N": ("int", None, ">= 1"), "p_target": ("float", None, "> 0, <= 1"),
                "solve_samples": ("int", 0, None)},
     "rip-mc": {**_MAP, **_CONES, **_ENSEMBLE, "n_samples": ("int", 10_000, ">= 1"),
                "delta": _DELTA},
@@ -301,13 +309,7 @@ def _run_bounds(p: dict, seed: int) -> Tuple[dict, _Table]:
     if n is not None and s * f > n:
         raise ConfigError("N", f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
     reports = [compose_bound_report(case, s, f, delta, m, n) for m in p["m_grid"] or [p["M"]]]
-    payload = {"reports": reports} if p["m_grid"] else reports[0].to_json()
-
-    for key in ("alpha", "beta"):
-        claimed, actual = p[key], getattr(reports[0], key)
-        if claimed is not None and abs(claimed - actual) > 1e-12:
-            raise ConfigError(key, f"case {case!r} implies {key}={actual!r}, got {claimed!r}")
-
+    payload = {"reports": reports} if p["m_grid"] else _plain(reports[0])
     if p["solve_samples"]:
         for key in ("N", "p_target"):
             if p[key] is None:
@@ -315,7 +317,7 @@ def _run_bounds(p: dict, seed: int) -> Tuple[dict, _Table]:
         payload["sample_count"] = union_bound_samples(
             n, s, f, delta, p["p_target"], case)
 
-    return payload, {"M": [b.m for b in reports],
+    return payload, {"M": [b.inputs.m for b in reports],
                      "raw_bound": [b.success_probability_lower for b in reports],
                      "clamped_bound": [b.success_probability_clamped for b in reports]}
 

@@ -22,7 +22,7 @@ its trials as one stack, which the per-trial streams make legal, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,6 @@ from .sparse_model import (CONE_KINDS, DEGENERATE_NORM, ConeSpec, Support,
 # fresh support pairs are redrawn at most this many times per trial
 _MAX_REDRAWS = 100
 
-_POWER_ITERS = 30
 _MAX_ITERS = 500
 _TOL = 1e-8
 _DIVERGENCE_WINDOW = 50
@@ -222,21 +221,16 @@ class _TopK:
 
 
 def _adaptive_step(phi: np.ndarray) -> np.ndarray:
-    """1 / |Phi_t|^2 for each matrix of the stack phi (T, m, n) by power
-    iteration in lockstep, with a lone iteration's gemv and norm calls per
-    member; 1.0 for a member whose iterate reaches norm 0."""
-    b = np.random.default_rng(0).standard_normal(phi.shape[2])
-    b = np.tile(b / np.linalg.norm(b), (len(phi), 1))
-    zero = np.zeros(len(phi), dtype=bool)
+    """1 / |Phi_t|_2^2 for each matrix of the stack phi (T, m, n), from the
+    largest eigenvalue of the smaller Gram matrix; 1.0 for Phi_t = 0.  The
+    eigenvalue is scaled up by 1 + 4 (m + n) eps first, to cover the Gram
+    product's rounding (inner dimension max(m, n)) and eigvalsh's backward
+    error, so that mu |Phi_t|_2^2 <= 1 holds in floating point."""
+    m, n = phi.shape[1:]
     phi_t = phi.transpose(0, 2, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_POWER_ITERS):
-            b = np.matmul(phi_t, np.matmul(phi, b[:, :, None]))[:, :, 0]
-            nb = np.sqrt(np.vecdot(b, b))
-            zero |= nb == 0.0
-            b /= nb[:, None]
-        pb = np.matmul(phi, b[:, :, None])[:, :, 0]
-        return np.where(zero, 1.0, 1.0 / np.vecdot(pb, pb))
+    gram = np.matmul(phi, phi_t) if m <= n else np.matmul(phi_t, phi)
+    top = np.linalg.eigvalsh(gram)[:, -1] * (1.0 + 4 * (m + n) * np.finfo(float).eps)
+    return 1.0 / np.where(top > 0.0, top, 1.0)
 
 
 def _iht_stack(phi: np.ndarray, y: np.ndarray, k: np.ndarray, mu: np.ndarray,
@@ -311,9 +305,11 @@ def iht(problem: RecoveryProblem, k: int, max_iters: int = _MAX_ITERS,
 
     Stops when the update norm drops below tol * |z| or after max_iters.
     A residual that grows tenfold over a 50-iteration window flags the
-    run as diverged.  The step mu is 1 / |Phi|^2 from 30 power
-    iterations.  The solve is a stack of one through `_iht_stack`, the
-    loop that also solves a phase cell's trials.
+    run as diverged.  The step mu is 1 / |Phi|_2^2 from the largest
+    eigenvalue of the Gram matrix, shrunk by 1 + 4 (m + n) eps so that
+    mu |Phi|_2^2 <= 1, as IHT's convergence condition asks
+    (`_adaptive_step`).  The solve is a stack of one through `_iht_stack`,
+    the loop that also solves a phase cell's trials.
     """
     phi, y = problem.phi, problem.y
     m, n = phi.shape
@@ -352,14 +348,10 @@ class PhaseCell:
     m: int
     trials: int
     successes: int
+    rate: float = field(init=False)
 
-    @property
-    def rate(self) -> float:
-        return self.successes / self.trials
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "trials": self.trials, "successes": self.successes,
-                "rate": self.rate}
+    def __post_init__(self):
+        object.__setattr__(self, "rate", self.successes / self.trials)
 
 
 @dataclass(frozen=True)

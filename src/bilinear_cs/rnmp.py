@@ -61,22 +61,21 @@ class RnmpEstimate:
     Witnesses are unit-norm vectors supported on the declared cones; each
     reproduces its reported constant, up to rounding, when the ratio is
     re-evaluated.  `converged` is False when the alternating method hit
-    its iteration cap before the improvement dropped below `_TOL`.
-    `details` holds the method's own settings, written to the JSON under
-    their own names: `samples` for brute, `restarts` and `tol` for
-    alternating, and for grid `grid_per_dim` with the certified interval,
-    its covering radius and its outer point count (`certify_exhaustive`).
+    its iteration cap before the improvement dropped below `_TOL`.  Each
+    estimator returns a subclass whose added fields are its own settings.
     """
 
-    support_pair: Tuple[Support, Support]
+    support_x: Support
+    support_y: Support
     cone_kinds: Tuple[str, str]
     alpha_est: float
     beta_est: float
-    alpha_witness: Tuple[np.ndarray, np.ndarray]
-    beta_witness: Tuple[np.ndarray, np.ndarray]
+    alpha_witness_x: np.ndarray
+    alpha_witness_y: np.ndarray
+    beta_witness_x: np.ndarray
+    beta_witness_y: np.ndarray
     method: str  # brute | alternating | grid
-    details: dict
-    converged: bool = True
+    converged: bool
 
     def __post_init__(self):
         if not 0.0 <= self.alpha_est <= self.beta_est:
@@ -84,21 +83,41 @@ class RnmpEstimate:
                 f"need 0 <= alpha <= beta, got alpha={self.alpha_est}, beta={self.beta_est}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "support_x": self.support_pair[0].to_json(),
-            "support_y": self.support_pair[1].to_json(),
-            "cone_kinds": list(self.cone_kinds),
-            "alpha_est": self.alpha_est,
-            "beta_est": self.beta_est,
-            "alpha_witness_x": self.alpha_witness[0].tolist(),
-            "alpha_witness_y": self.alpha_witness[1].tolist(),
-            "beta_witness_x": self.beta_witness[0].tolist(),
-            "beta_witness_y": self.beta_witness[1].tolist(),
-            "method": self.method,
-            "converged": self.converged,
-            **self.details,
-        }
+
+@dataclass(frozen=True)
+class BruteEstimate(RnmpEstimate):
+    samples: int
+
+
+@dataclass(frozen=True)
+class AlternatingEstimate(RnmpEstimate):
+    restarts: int
+    tol: float
+
+
+@dataclass(frozen=True)
+class GridEstimate(RnmpEstimate):
+    """The certified interval [alpha_lower, alpha_upper] on alpha and
+    [beta_lower, beta_upper] on beta, from a grid of `outer_points` with
+    covering radius `covering_radius` (`certify_exhaustive`)."""
+
+    grid_per_dim: int
+    alpha_lower: float
+    alpha_upper: float
+    beta_lower: float
+    beta_upper: float
+    covering_radius: float
+    outer_points: int
+
+
+def _estimate(cls, cone_x: ConeSpec, cone_y: ConeSpec, alpha: float, beta: float,
+              alpha_witness: tuple, beta_witness: tuple, **fields) -> RnmpEstimate:
+    """An estimate of type cls on the cone pair, from its (x, y) witness
+    pairs; `fields` are the rest of cls's fields."""
+    return cls(support_x=cone_x.support, support_y=cone_y.support,
+               cone_kinds=(cone_x.kind, cone_y.kind), alpha_est=alpha, beta_est=beta,
+               alpha_witness_x=alpha_witness[0], alpha_witness_y=alpha_witness[1],
+               beta_witness_x=beta_witness[0], beta_witness_y=beta_witness[1], **fields)
 
 
 def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.ndarray:
@@ -179,7 +198,7 @@ def cone_pair_blocks(images: np.ndarray, cone_x: ConeSpec, cone_y: ConeSpec,
 
 
 def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
-                   samples: int = 10_000, seed: int = 0) -> RnmpEstimate:
+                   samples: int = 10_000, seed: int = 0) -> BruteEstimate:
     """Monte Carlo sweep over random unit cone pairs (`cone_pair_blocks`).
 
     With finitely many samples alpha_est is an upper bound on the true
@@ -200,16 +219,8 @@ def estimate_brute(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
             wit_max = (_embed(xc[i_max], cone_x), _embed(yc[i_max], cone_y))
         del xc, yc, r  # not held while the next block is drawn
 
-    return RnmpEstimate(
-        support_pair=(cone_x.support, cone_y.support),
-        cone_kinds=(cone_x.kind, cone_y.kind),
-        alpha_est=best_min,
-        beta_est=best_max,
-        alpha_witness=wit_min,
-        beta_witness=wit_max,
-        method="brute",
-        details={"samples": samples},
-    )
+    return _estimate(BruteEstimate, cone_x, cone_y, best_min, best_max, wit_min, wit_max,
+                     method="brute", converged=True, samples=samples)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -280,7 +291,7 @@ def _alternate(images, kinds, x, y, use_max, max_iters):
 
 def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
                          restarts: int = 8, max_iters: int = 200,
-                         seed: int = 0) -> RnmpEstimate:
+                         seed: int = 0) -> AlternatingEstimate:
     """Alternating singular-direction search for alpha (min) and beta (max).
 
     Fixing one argument makes the restricted map linear; the update picks
@@ -305,17 +316,11 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     i_a = int(np.argmin(val[:restarts]))
     i_b = restarts + int(np.argmax(val[restarts:]))
 
-    return RnmpEstimate(
-        support_pair=(cone_x.support, cone_y.support),
-        cone_kinds=kinds,
-        alpha_est=float(val[i_a]),
-        beta_est=float(val[i_b]),
-        alpha_witness=(_embed(x[i_a], cone_x), _embed(y[i_a], cone_y)),
-        beta_witness=(_embed(x[i_b], cone_x), _embed(y[i_b], cone_y)),
-        method="alternating",
-        details={"restarts": restarts, "tol": _TOL},
-        converged=bool(converged[i_a] and converged[i_b]),
-    )
+    return _estimate(AlternatingEstimate, cone_x, cone_y, float(val[i_a]), float(val[i_b]),
+                     (_embed(x[i_a], cone_x), _embed(y[i_a], cone_y)),
+                     (_embed(x[i_b], cone_x), _embed(y[i_b], cone_y)),
+                     method="alternating", converged=bool(converged[i_a] and converged[i_b]),
+                     restarts=restarts, tol=_TOL)
 
 
 def _sphere_grid(dim: int, kind: str, g: int) -> np.ndarray:
@@ -368,7 +373,7 @@ def _lipschitz(slices: np.ndarray) -> float:
 
 
 def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
-                       grid_per_dim: int = 64) -> RnmpEstimate:
+                       grid_per_dim: int = 64) -> GridEstimate:
     """Rigorous bracket on alpha and beta: an angular grid over one cone
     (the outer side) and the exact extremes over the other (the inner side).
 
@@ -386,8 +391,8 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
     cone vector lies within rho of a grid point (`_covering_radius`) and
     ||A(d)|| <= L ||d|| (`_lipschitz`), so alpha >= alpha_est - L rho and
     beta <= beta_est + L rho; on two orthants the slack is
-    L_x rho_x + L_y rho_y.  `details` holds grid_per_dim, the four bounds,
-    rho (the larger of the two on orthants) and the outer grid's size.  The pair
+    L_x rho_x + L_y rho_y.  The estimate holds the four bounds, rho (the
+    larger of the two on orthants) and the outer grid's size.  The pair
     count of the product grid over both cones is capped at 10^8.
     """
     if grid_per_dim < 3:
@@ -453,16 +458,9 @@ def certify_exhaustive(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec
         pair = (_embed(v, inner), _embed(u, outer))
         return pair if flip else pair[::-1]
 
-    return RnmpEstimate(
-        support_pair=(cone_x.support, cone_y.support),
-        cone_kinds=(cone_x.kind, cone_y.kind),
-        alpha_est=best_lo,
-        beta_est=best_hi,
-        alpha_witness=witness(arg_lo, False),
-        beta_witness=witness(arg_hi, True),
-        method="grid",
-        details={"grid_per_dim": grid_per_dim,
-                 "alpha_lower": max(0.0, best_lo - slack), "alpha_upper": best_lo,
-                 "beta_lower": best_hi, "beta_upper": best_hi + slack,
-                 "covering_radius": rho, "outer_points": len(us)},
-    )
+    return _estimate(GridEstimate, cone_x, cone_y, best_lo, best_hi,
+                     witness(arg_lo, False), witness(arg_hi, True),
+                     method="grid", converged=True, grid_per_dim=grid_per_dim,
+                     alpha_lower=max(0.0, best_lo - slack), alpha_upper=best_lo,
+                     beta_lower=best_hi, beta_upper=best_hi + slack,
+                     covering_radius=rho, outer_points=len(us))

@@ -271,6 +271,8 @@ def concentration_test(r: np.ndarray,
     if r.shape != (ensemble_template.cols,):
         raise ValueError(f"r must have length {ensemble_template.cols}, "
                          f"got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("r must be finite")
     norm_r = float(np.linalg.norm(r))
     if norm_r == 0.0:
         raise ValueError("r must be nonzero")

@@ -10,7 +10,7 @@ are given, so a caller that seeds the generator fixes the draw.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +34,7 @@ class Support:
     """
 
     indices: tuple
-    ambient_dim: int
+    ambient_dim: int = field(metadata={"json": "n"})
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
@@ -55,9 +55,6 @@ class Support:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.indices, dtype=int)
-
-    def to_json(self) -> dict:
-        return {"n": self.ambient_dim, "indices": list(self.indices)}
 
 
 @dataclass(frozen=True)

@@ -312,8 +312,8 @@ def test_criterion_10_estimator_cross_agreement():
                 assert pair_dev <= 0.05, (n, i_idx, j_idx, pair_dev)
                 # a randomized estimate can only fall inside the certified bracket
                 for est in (brute, alt):
-                    assert grid.details["alpha_lower"] <= est.alpha_est + 1e-12, (n, i_idx, j_idx)
-                    assert est.beta_est <= grid.details["beta_upper"] + 1e-12, (n, i_idx, j_idx)
+                    assert grid.alpha_lower <= est.alpha_est + 1e-12, (n, i_idx, j_idx)
+                    assert est.beta_est <= grid.beta_upper + 1e-12, (n, i_idx, j_idx)
     assert count == 2281
     _report(10, time.time() - t0, 600.0,
             f"{count} support pairs, worst estimator-vs-grid dev {worst:.4f} "

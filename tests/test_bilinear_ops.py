@@ -142,8 +142,10 @@ def test_norm_bound_check_evaluate():
     ok = NormBoundCheck.evaluate(lhs=1.0, rhs_upper=2.0, rhs_lower=0.5)
     assert ok.satisfied
     assert ok.slack > 0
-    bad = NormBoundCheck.evaluate(lhs=3.0, rhs_upper=2.0)
-    assert not bad.satisfied
+    for lhs in (3.0, 0.25):  # above the upper bound, below the lower one
+        bad = NormBoundCheck.evaluate(lhs=lhs, rhs_upper=2.0, rhs_lower=0.5)
+        assert not bad.satisfied
+        assert bad.slack < 0
 
 
 def test_positive_cone_sandwich_random_pairs():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from bilinear_cs.bounds import (BALL, CASE_POINTWISE, CASE_POSITIVE_CONE_CONV,
                                 c0, compose_bound_report, covering_bound,
                                 d_constant, rip_probability,
                                 union_bound_samples)
+from bilinear_cs.cli import json_text
 
 
 def test_case_constant_frozen_values():
@@ -162,19 +164,18 @@ def test_bound_report_consistency():
         assert 0.0 <= rep.success_probability_clamped <= 1.0
         assert rep.success_probability_clamped == min(
             1.0, max(0.0, rep.success_probability_lower))
-        j = rep.to_json()
-        assert j["inputs"]["case"] == case
-        assert j["inputs"]["n"] == 64
+        assert rep.inputs.case == case
+        assert rep.inputs.n == 64
 
 
 def test_bound_report_case_constants():
     cone = compose_bound_report(CASE_POSITIVE_CONE_CONV, 4, 9, 0.5, 100)
-    assert cone.alpha == 1.0
-    assert cone.beta == 2.0  # sqrt(min(4, 9))
+    assert cone.inputs.alpha == 1.0
+    assert cone.inputs.beta == 2.0  # sqrt(min(4, 9))
     assert cone.d == d_constant(1.0, 2.0)
     tensor = compose_bound_report(CASE_TENSOR_CONV, 4, 9, 0.5, 100)
     assert tensor.d == 12.0
-    assert tensor.beta == 1.0
+    assert tensor.inputs.beta == 1.0
 
 
 def test_bound_report_clamps_vacuous_bound():
@@ -254,7 +255,7 @@ def test_union_bound_domain():
 
 def test_sample_report_json():
     rep = union_bound_samples(64, 3, 4, 0.5, 1e-3, case=CASE_POINTWISE)
-    j = rep.to_json()
+    j = json.loads(json_text(rep))
     assert j["m"] == rep.m
     assert j["inputs"] == {"n": 64, "s": 3, "f": 4, "delta": 0.5,
                            "p_target": 1e-3, "case": CASE_POINTWISE}

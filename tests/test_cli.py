@@ -6,14 +6,14 @@ import pytest
 
 from bilinear_cs import __version__, cli, rnmp
 from bilinear_cs.bilinear_ops import CIRCULAR_CONVOLUTION, BilinearMapSpec
-from bilinear_cs.bounds import union_bound_samples
+from bilinear_cs.bounds import compose_bound_report, union_bound_samples
 from bilinear_cs.cli import ConfigError, ExperimentConfig, json_text, load_config, main, run
 from bilinear_cs.recovery import (BilinearModel, RecoveryProblem, iht, oracle_least_squares,
                                   output_support, phase_transition, simulate_problem)
 from bilinear_cs.sensing import (GAUSSIAN, RADEMACHER, MeasurementEnsemble,
                                  concentration_test, generate, orthonormal_rows,
                                  rip_monte_carlo)
-from bilinear_cs.sparse_model import SUBSPACE, ConeSpec, support_from_indices
+from bilinear_cs.sparse_model import POSITIVE_ORTHANT, SUBSPACE, ConeSpec, support_from_indices
 
 
 def write_config(tmp_path, name, body):
@@ -118,8 +118,8 @@ def test_rnmp_witness_keeps_negative_zero(tmp_path):
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 4)
     cx, cy = (ConeSpec(support_from_indices(i, 4), SUBSPACE) for i in ([0], [1, 2]))
     est = rnmp.certify_exhaustive(spec, cx, cy, grid_per_dim=8)
-    want = {"alpha_witness_x": est.alpha_witness[0], "alpha_witness_y": est.alpha_witness[1],
-            "beta_witness_x": est.beta_witness[0], "beta_witness_y": est.beta_witness[1]}
+    want = {key: getattr(est, key) for key in (
+        "alpha_witness_x", "alpha_witness_y", "beta_witness_x", "beta_witness_y")}
     negative_zeros = 0
     for key, vector in want.items():
         assert all(type(v) is float for v in result[key]), key
@@ -199,16 +199,6 @@ def test_bounds_command_solves_sample_count(tmp_path):
     want = union_bound_samples(64, 3, 3, 0.5, 1e-3, "tensor_conv")
     assert doc["result"]["sample_count"]["m"] == want.m
     assert doc["result"]["sample_count"]["m_loose"] == want.m_loose
-
-
-def test_bounds_command_checks_claimed_constants(tmp_path, capsys):
-    ok = bounds_config(tmp_path, alpha=1.0, beta=1.0)
-    assert main(["--config", ok]) == 0
-    bad = bounds_config(tmp_path, beta=1.5)
-    assert main(["--config", bad]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"]["kind"] == "config"
-    assert err["error"]["field"] == "beta"
 
 
 def test_bounds_sweep_csv(tmp_path):
@@ -451,8 +441,11 @@ CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
     ("rnmp", {**CONE_PAIR, "method": "grid", "samples": 0}, "samples"),
     ("rip-mc", {**CONE_PAIR, "M": 4, "delta": 0.5, "n_samples": 0}, "n_samples"),
     ("recover", {**CONE_PAIR, "M": 4, "max_iters": 0}, "max_iters"),
-    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "m_grid": [],
-                "alpha": 1.0}, "m_grid"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "m_grid": []},
+     "m_grid"),
+    # alpha and beta follow from the case; a config cannot claim them
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
+                "alpha": 1.0}, "alpha"),
     ("phase", {"map": "circular_convolution", "n": 8, "S": 2, "F": 2, "m_grid": [],
                "trials": 2}, "m_grid"),
     ("phase", {"map": "circular_convolution", "n": 8, "S": 2, "F": 2, "m_grid": [4, 8],
@@ -639,7 +632,7 @@ def test_csv_commands_write_the_report_values(tmp_path, monkeypatch, command, pa
     assert main(["--config", path]) == 0
     if command == "bounds":
         columns = ["M", "raw_bound", "clamped_bound"]
-        rows = [(b.m, b.success_probability_lower, b.success_probability_clamped)
+        rows = [(b.inputs.m, b.success_probability_lower, b.success_probability_clamped)
                 for b in seen]
     elif command == "rip-mc":
         columns = ["sample_index", "abs_distortion"]
@@ -669,6 +662,94 @@ def test_csv_commands_write_the_report_values(tmp_path, monkeypatch, command, pa
 
 # the to_json methods that json_text's dataclass rule replaced, kept as the
 # byte reference for each report's JSON
+
+
+def _old_support_json(support):
+    return {"n": support.ambient_dim, "indices": list(support.indices)}
+
+
+# each method's own keys, as the estimators wrote them
+_OLD_DETAILS = {"brute": ("samples",), "alternating": ("restarts", "tol"),
+                "grid": ("grid_per_dim", "alpha_lower", "alpha_upper", "beta_lower",
+                         "beta_upper", "covering_radius", "outer_points")}
+
+
+def _old_estimate_json(est):
+    return {
+        "support_x": _old_support_json(est.support_x),
+        "support_y": _old_support_json(est.support_y),
+        "cone_kinds": list(est.cone_kinds),
+        "alpha_est": est.alpha_est,
+        "beta_est": est.beta_est,
+        "alpha_witness_x": est.alpha_witness_x.tolist(),
+        "alpha_witness_y": est.alpha_witness_y.tolist(),
+        "beta_witness_x": est.beta_witness_x.tolist(),
+        "beta_witness_y": est.beta_witness_y.tolist(),
+        "method": est.method,
+        "converged": est.converged,
+        **{key: getattr(est, key) for key in _OLD_DETAILS[est.method]},
+    }
+
+
+def _old_bound_json(rep):
+    return {
+        "d": rep.d,
+        "c0": rep.c0,
+        "covering_x": rep.covering_x,
+        "covering_y": rep.covering_y,
+        "success_probability_lower": rep.success_probability_lower,
+        "success_probability_clamped": rep.success_probability_clamped,
+        "inputs": {
+            "alpha": rep.inputs.alpha,
+            "beta": rep.inputs.beta,
+            "delta": rep.inputs.delta,
+            "m": rep.inputs.m,
+            "s": rep.inputs.s,
+            "f": rep.inputs.f,
+            "n": rep.inputs.n,
+            "case": rep.inputs.case,
+        },
+    }
+
+
+def _old_sample_count_json(rep):
+    return {
+        "m": rep.m,
+        "m_loose": rep.m_loose,
+        "log_pairs_exact": rep.log_pairs_exact,
+        "log_pairs_loose": rep.log_pairs_loose,
+        "inputs": {
+            "n": rep.inputs.n,
+            "s": rep.inputs.s,
+            "f": rep.inputs.f,
+            "delta": rep.inputs.delta,
+            "p_target": rep.inputs.p_target,
+            "case": rep.inputs.case,
+        },
+    }
+
+
+def _old_bounds_json(p):
+    """The `bounds` result for the parameters p, as the CLI built it
+    from the writers above."""
+    reports = [_old_bound_json(compose_bound_report(p["case"], p["S"], p["F"], p["delta"], m,
+                                                    p.get("N")))
+               for m in p.get("m_grid") or [p["M"]]]
+    payload = {"reports": reports} if "m_grid" in p else reports[0]
+    if p.get("solve_samples"):
+        payload["sample_count"] = _old_sample_count_json(union_bound_samples(
+            p["N"], p["S"], p["F"], p["delta"], p["p_target"], p["case"]))
+    return payload
+
+
+def _bounds_payload(p):
+    """The `bounds` result the CLI writes for the parameters p."""
+    return cli._run_bounds(cli._parameters(ExperimentConfig("bounds", p, 0, "out.json")), 0)[0]
+
+
+def _old_phase_cell_json(c):
+    return {"m": c.m, "trials": c.trials, "successes": c.successes,
+            "rate": c.successes / c.trials}
 
 
 def _old_distortion_json(rep):
@@ -701,7 +782,7 @@ def _old_concentration_json(res):
 def _old_recovery_json(res):
     return {
         "z_hat": [float(v) for v in res.z_hat],
-        "support_hat": None if res.support_hat is None else res.support_hat.to_json(),
+        "support_hat": None if res.support_hat is None else _old_support_json(res.support_hat),
         "iterations": res.iterations,
         "residual": res.residual,
         "relative_error": res.relative_error,
@@ -717,8 +798,7 @@ def _old_phase_json(res):
         "cone_kind": res.cone_kind, "map_kind": res.map_kind,
         "trials": res.trials, "delta_success": res.delta_success,
         "seed": res.seed,
-        "cells": [{"m": c.m, "trials": c.trials, "successes": c.successes, "rate": c.rate}
-                  for c in res.cells],
+        "cells": [_old_phase_cell_json(c) for c in res.cells],
         "reference_additive": res.reference_additive,
         "reference_multiplicative": res.reference_multiplicative,
     }
@@ -726,8 +806,8 @@ def _old_phase_json(res):
 
 def _reports():
     """(report, reference writer) pairs, with the cases no benchmark config
-    reaches: an explicit matrix, z_hat = 0, and a phase cell whose trials
-    were all skipped."""
+    reaches: an explicit matrix, z_hat = 0, a phase cell whose trials
+    were all skipped, and a bounds sweep without N."""
     conv8 = BilinearMapSpec(CIRCULAR_CONVOLUTION, 8)
     conv32 = BilinearMapSpec(CIRCULAR_CONVOLUTION, 32)
     cx, cy = (ConeSpec(support_from_indices(i, 8), SUBSPACE) for i in ([0, 1], [0, 4]))
@@ -735,6 +815,10 @@ def _reports():
     phi = generate(MeasurementEnsemble(GAUSSIAN, 6, 8, 3))
     problem = simulate_problem(model, phi, noise_sigma=1e-3, seed=2)
     zero = RecoveryProblem(phi=phi, y=np.zeros(6), model=model)
+    orthant = ConeSpec(support_from_indices([0, 2, 3], 8), POSITIVE_ORTHANT)
+    single = {"case": "positive_cone_conv", "S": 3, "F": 4, "delta": 0.5, "M": 2000,
+              "N": 64, "solve_samples": 1, "p_target": 1e-3}
+    sweep = {"case": "pointwise", "S": 2, "F": 3, "delta": 0.25, "m_grid": [10, 4000]}
     return [
         (rip_monte_carlo(conv8, cx, cy, MeasurementEnsemble(RADEMACHER, 4, 8, 5), 60, 0.3,
                          1), _old_distortion_json),
@@ -749,6 +833,12 @@ def _reports():
         (iht(zero, 2), _old_recovery_json),
         (phase_transition(conv8, 2, 2, SUBSPACE, [2, 4, 8], 3, seed=1), _old_phase_json),
         (phase_transition(conv32, 4, 4, SUBSPACE, [3], 4), _old_phase_json),
+        (rnmp.estimate_brute(conv8, cx, cy, samples=300, seed=1), _old_estimate_json),
+        (rnmp.estimate_alternating(conv8, cx, cy, restarts=3, seed=1), _old_estimate_json),
+        (rnmp.certify_exhaustive(conv8, cx, cy, grid_per_dim=16), _old_estimate_json),
+        (rnmp.certify_exhaustive(conv8, orthant, orthant, grid_per_dim=9), _old_estimate_json),
+        (_bounds_payload(single), lambda _: _old_bounds_json(single)),
+        (_bounds_payload(sweep), lambda _: _old_bounds_json(sweep)),
     ]
 
 
@@ -760,6 +850,7 @@ def test_report_json_matches_to_json_bytes():
     assert edge[1].ensemble_seed is None
     assert edge[6].support_hat is None and edge[6].relative_error is None
     assert edge[8].cells[0].successes == 0
+    assert "sample_count" in edge[13] and edge[14]["reports"][0].inputs.n is None
 
 
 # the frozen key paths of each command's JSON result: a new field of a

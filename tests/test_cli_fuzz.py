@@ -20,8 +20,7 @@ VALID = {
              "cone_x": "subspace", "cone_y": "positive_orthant", "method": "grid",
              "samples": 200, "restarts": 2, "grid_per_dim": 8},
     "bounds": {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
-               "m_grid": [100, 200], "N": 64, "alpha": 1.0, "beta": 1.0,
-               "p_target": 0.01, "solve_samples": 1},
+               "m_grid": [100, 200], "N": 64, "p_target": 0.01, "solve_samples": 1},
     "rip-mc": {"map": "pointwise", "n": 8, "i": [0, 1, 2], "j": [1, 2, 3],
                "cone_x": "subspace", "cone_y": "subspace", "ensemble": "gaussian",
                "M": 4, "n_samples": 50, "delta": 0.5},

@@ -36,14 +36,13 @@ def test_readme_python_session():
     with contextlib.redirect_stdout(out):
         exec(session, namespace)
     est = namespace["est"]
-    assert_null_pair(est.alpha_est, est.beta_est, est.details)
+    assert_null_pair(est.alpha_est, est.beta_est, vars(est))
     printed = [[float(v) for v in line.split()] for line in out.getvalue().splitlines()]
-    b = est.details
-    assert printed == [[est.alpha_est, est.beta_est], [b["alpha_lower"], b["alpha_upper"]],
-                       [b["beta_lower"], b["beta_upper"]]]
+    assert printed == [[est.alpha_est, est.beta_est], [est.alpha_lower, est.alpha_upper],
+                       [est.beta_lower, est.beta_upper]]
     # the slack the README states: rho = pi/64 and L = sqrt(2)
-    assert b["covering_radius"] == math.pi / 64 and b["outer_points"] == 64
-    assert abs(b["beta_upper"] - b["beta_lower"] - math.sqrt(2) * math.pi / 64) < 1e-12
+    assert est.covering_radius == math.pi / 64 and est.outer_points == 64
+    assert abs(est.beta_upper - est.beta_lower - math.sqrt(2) * math.pi / 64) < 1e-12
 
 
 def test_readme_rnmp_config(tmp_path, monkeypatch):

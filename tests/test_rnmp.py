@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from bilinear_cs import rnmp
+from bilinear_cs.cli import json_text
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, apply_map_batch, dft_unitary)
-from bilinear_cs.rnmp import (GRID_GUARD, RnmpEstimate,
+from bilinear_cs.rnmp import (GRID_GUARD, BruteEstimate,
                               _covering_radius, _sphere_grid,
                               apply_restricted_batch, basis_images,
                               certify_exhaustive, estimate_alternating,
@@ -33,6 +34,10 @@ def norm_ratio(spec, x, y) -> float:
     if nx == 0 or ny == 0:
         raise ValueError("ratio undefined for zero vectors")
     return float(np.linalg.norm(apply_map(spec, xv, yv)) / (nx * ny))
+
+
+def witnesses(est):
+    return (est.alpha_witness_x, est.alpha_witness_y, est.beta_witness_x, est.beta_witness_y)
 
 
 def test_norm_ratio_rejects_zero_vectors():
@@ -77,15 +82,19 @@ def test_basis_images_reproduce_map():
 
 def test_estimate_orders_alpha_below_beta():
     with pytest.raises(ValueError):
-        RnmpEstimate(
-            support_pair=(Support((0,), 4), Support((0,), 4)),
+        BruteEstimate(
+            support_x=Support((0,), 4),
+            support_y=Support((0,), 4),
             cone_kinds=(SUBSPACE, SUBSPACE),
             alpha_est=2.0,
             beta_est=1.0,
-            alpha_witness=(np.zeros(4), np.zeros(4)),
-            beta_witness=(np.zeros(4), np.zeros(4)),
+            alpha_witness_x=np.zeros(4),
+            alpha_witness_y=np.zeros(4),
+            beta_witness_x=np.zeros(4),
+            beta_witness_y=np.zeros(4),
             method="brute",
-            details={"samples": 1},
+            converged=True,
+            samples=1,
         )
 
 
@@ -105,11 +114,11 @@ def test_brute_determinism_and_witnesses():
     b = estimate_brute(spec, cx, cy, samples=3000, seed=4)
     assert a.alpha_est == b.alpha_est
     assert a.beta_est == b.beta_est
-    assert np.array_equal(a.alpha_witness[0], b.alpha_witness[0])
+    assert np.array_equal(a.alpha_witness_x, b.alpha_witness_x)
     assert a.alpha_est <= a.beta_est
     # witnesses must reproduce the reported constants
-    assert abs(norm_ratio(spec, *a.alpha_witness) - a.alpha_est) < 1e-9
-    assert abs(norm_ratio(spec, *a.beta_witness) - a.beta_est) < 1e-9
+    assert abs(norm_ratio(spec, a.alpha_witness_x, a.alpha_witness_y) - a.alpha_est) < 1e-9
+    assert abs(norm_ratio(spec, a.beta_witness_x, a.beta_witness_y) - a.beta_est) < 1e-9
 
 
 def dense_brute(spec, cone_x, cone_y, samples, seed):
@@ -141,7 +150,7 @@ def test_brute_matches_dense_sweep_bitwise(n, i_idx, j_idx, kind, cone_kind):
     est = estimate_brute(spec, cx, cy, samples=samples, seed=n)
     alpha, beta, wit_a, wit_b = dense_brute(spec, cx, cy, samples, seed=n)
     assert est.alpha_est == alpha and est.beta_est == beta
-    for got, want in zip(est.alpha_witness + est.beta_witness, wit_a + wit_b):
+    for got, want in zip(witnesses(est), wit_a + wit_b):
         assert np.array_equal(got, want)
 
 
@@ -173,7 +182,7 @@ def test_block_budget_changes_no_byte(monkeypatch, kind, cone_kind):
         brute = estimate_brute(spec, cx, cy, samples=samples, seed=3)
         monkeypatch.setattr(rnmp, "_BLOCK", grid_budget)
         grid = certify_exhaustive(spec, cx, cy, grid_per_dim=g)
-        outputs.add(json.dumps([brute.to_json(), grid.to_json()]))
+        outputs.add(json_text([brute, grid]))
     assert len(outputs) == 1
 
 
@@ -274,7 +283,7 @@ def test_null_pair_all_three_estimators():
     alt = estimate_alternating(spec, cx, cy, restarts=8, seed=3)
     assert alt.alpha_est < 1e-6
     assert alt.beta_est > 1.3
-    assert abs(norm_ratio(spec, *alt.beta_witness) - alt.beta_est) < 1e-9
+    assert abs(norm_ratio(spec, alt.beta_witness_x, alt.beta_witness_y) - alt.beta_est) < 1e-9
 
     brute = estimate_brute(spec, cx, cy, samples=5000, seed=1)
     assert brute.alpha_est < 0.1
@@ -284,13 +293,13 @@ def test_null_pair_all_three_estimators():
     assert brute.alpha_est >= grid.alpha_est - 1e-9
     assert brute.beta_est <= grid.beta_est + 1e-9
     assert alt.beta_est <= grid.beta_est + 1e-9
-    bracket = grid.to_json()
-    assert bracket["alpha_lower"] == 0.0 <= grid.alpha_est == bracket["alpha_upper"]
-    assert bracket["beta_lower"] == grid.beta_est < np.sqrt(2) + 1e-9 < bracket["beta_upper"]
+    assert grid.alpha_lower == 0.0 <= grid.alpha_est == grid.alpha_upper
+    assert grid.beta_lower == grid.beta_est < np.sqrt(2) + 1e-9 < grid.beta_upper
     for est in (brute, alt):
-        assert bracket["alpha_lower"] <= est.alpha_est
-        assert est.beta_est <= bracket["beta_upper"]
-    assert "alpha_lower" not in brute.to_json() and "outer_points" not in alt.to_json()
+        assert grid.alpha_lower <= est.alpha_est
+        assert est.beta_est <= grid.beta_upper
+    assert "alpha_lower" not in json.loads(json_text(brute))
+    assert "outer_points" not in json.loads(json_text(alt))
 
 
 def test_alternating_determinism_and_validation():
@@ -391,10 +400,10 @@ def test_alternating_stack_matches_lone_runs_bitwise(max_iters):
                 est = estimate_alternating(spec, cx, cy, restarts=6,
                                            max_iters=max_iters, seed=n)
                 alpha, beta, wit_a, wit_b, converged, runs = lone_alternating(
-                    spec, cx, cy, 6, max_iters, est.details["tol"], seed=n)
+                    spec, cx, cy, 6, max_iters, est.tol, seed=n)
                 assert est.alpha_est == alpha and est.beta_est == beta
                 assert est.converged == converged
-                for got, want, cone in zip(est.alpha_witness + est.beta_witness,
+                for got, want, cone in zip(witnesses(est),
                                            wit_a + wit_b, (cx, cy, cx, cy)):
                     want_n = np.zeros(n)
                     want_n[cone.support.as_array()] = want
@@ -526,16 +535,16 @@ def test_positive_orthant_grid_respects_cone():
     est = certify_exhaustive(spec, cx, cx, grid_per_dim=41)
     assert est.alpha_est >= 1.0 - 1e-9
     assert est.beta_est <= np.sqrt(2) + 1e-9
-    assert np.min(est.alpha_witness[0]) >= 0.0
-    assert np.min(est.beta_witness[1]) >= 0.0
+    assert np.min(est.alpha_witness_x) >= 0.0
+    assert np.min(est.beta_witness_y) >= 0.0
 
 
 def test_grid_witnesses_reproduce_estimates():
     spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 16)
     cx, cy = subspace_pair(16, [0, 3, 5], [1, 2, 9])
     est = certify_exhaustive(spec, cx, cy, grid_per_dim=15)
-    assert abs(norm_ratio(spec, *est.alpha_witness) - est.alpha_est) < 1e-6
-    assert abs(norm_ratio(spec, *est.beta_witness) - est.beta_est) < 1e-6
+    assert abs(norm_ratio(spec, est.alpha_witness_x, est.alpha_witness_y) - est.alpha_est) < 1e-6
+    assert abs(norm_ratio(spec, est.beta_witness_x, est.beta_witness_y) - est.beta_est) < 1e-6
 
 
 def test_grid_guard_rejects_oversized_requests():
@@ -565,7 +574,7 @@ def test_estimate_json_round_trip_fields():
     spec = BilinearMapSpec(POINTWISE, 4)
     cx, cy = subspace_pair(4, [0, 2], [0, 2])
     est = estimate_brute(spec, cx, cy, samples=100, seed=0)
-    d = est.to_json()
+    d = json.loads(json_text(est))
     assert d["method"] == "brute"
     assert d["support_x"] == {"n": 4, "indices": [0, 2]}
     assert len(d["alpha_witness_x"]) == 4
@@ -602,8 +611,8 @@ def test_exact_inner_side_improves_on_product_grid(n, kind, kind_x, kind_y):
         alpha, beta = product_grid(spec, cx, cy, 9)
         assert est.alpha_est <= alpha + 1e-12
         assert est.beta_est >= beta - 1e-12
-        assert abs(norm_ratio(spec, *est.alpha_witness) - est.alpha_est) < 1e-9
-        assert abs(norm_ratio(spec, *est.beta_witness) - est.beta_est) < 1e-9
+        assert abs(norm_ratio(spec, est.alpha_witness_x, est.alpha_witness_y) - est.alpha_est) < 1e-9
+        assert abs(norm_ratio(spec, est.beta_witness_x, est.beta_witness_y) - est.beta_est) < 1e-9
 
 
 @pytest.mark.parametrize("dim, g", [(dim, g) for dim in (1, 2, 3, 4)

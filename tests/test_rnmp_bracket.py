@@ -31,11 +31,11 @@ def bracket_cases(draw):
 def test_bracket_contains_estimates_and_fine_reference(case):
     n, kind, cx, cy, g, seed = case
     spec = BilinearMapSpec(kind, n, unitary=dft_unitary(n) if kind == UNITARY_PRODUCT else None)
-    b = certify_exhaustive(spec, cx, cy, grid_per_dim=g).details
+    b = certify_exhaustive(spec, cx, cy, grid_per_dim=g)
     for est in (estimate_brute(spec, cx, cy, samples=2000, seed=seed),
                 estimate_alternating(spec, cx, cy, restarts=4, seed=seed)):
-        assert b["alpha_lower"] - 1e-12 <= est.alpha_est
-        assert est.beta_est <= b["beta_upper"] + 1e-12
+        assert b.alpha_lower - 1e-12 <= est.alpha_est
+        assert est.beta_est <= b.beta_upper + 1e-12
     ref = certify_exhaustive(spec, cx, cy, grid_per_dim=4096)
-    assert b["alpha_lower"] - 1e-12 <= ref.alpha_est <= b["alpha_upper"] + 1e-12
-    assert b["beta_lower"] - 1e-12 <= ref.beta_est <= b["beta_upper"] + 1e-12
+    assert b.alpha_lower - 1e-12 <= ref.alpha_est <= b.alpha_upper + 1e-12
+    assert b.beta_lower - 1e-12 <= ref.beta_est <= b.beta_upper + 1e-12

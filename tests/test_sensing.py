@@ -300,6 +300,18 @@ def test_concentration_validation():
         concentration_test(r, e, trials=100, delta=1.0)
 
 
+@pytest.mark.parametrize("kind", [GAUSSIAN, RADEMACHER])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_concentration_rejects_non_finite_r(monkeypatch, kind, bad):
+    # r = [inf, 0, ...] read a Rademacher rate of 0.0 and a gaussian rate
+    # for a vector that does not exist; it is now rejected before any draw
+    monkeypatch.setattr(sensing, "_spawned_sfc64_states", None)
+    r = np.zeros(8)
+    r[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        concentration_test(r, MeasurementEnsemble(kind, 4, 8, 0), trials=100, delta=0.5)
+
+
 def test_concentration_reports_theory():
     e = MeasurementEnsemble(GAUSSIAN, 32, 64, 5)
     r = np.ones(64)

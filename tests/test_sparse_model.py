@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from bilinear_cs.cli import json_text
 from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
                                       ConeSpec, Support, is_properly_separated,
                                       row_norms, support_from_indices,
@@ -40,7 +43,7 @@ def test_support_from_indices_sorts_and_dedups():
 
 def test_support_json_round_trip():
     s = Support((1, 4), 6)
-    assert s.to_json() == {"n": 6, "indices": [1, 4]}
+    assert json.loads(json_text(s)) == {"n": 6, "indices": [1, 4]}
 
 
 def test_cone_spec_dims():
