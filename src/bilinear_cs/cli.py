@@ -66,8 +66,8 @@ class ExperimentConfig:
             raise ConfigError("command", f"must be one of {COMMANDS}, got {self.command!r}")
         if self.format not in FORMATS:
             raise ConfigError("format", f"must be one of {FORMATS}, got {self.format!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed", f"must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError("seed", f"must be a non-negative integer, got {self.seed!r}")
         if not self.output_path:
             raise ConfigError("output", "missing output path")
 
@@ -218,7 +218,7 @@ _PARAMETERS = {
                "F": ("int", REQUIRED, ">= 2"), "delta": _DELTA,
                "M": ("int", None, ">= 1"), "m_grid": ("ints", None, ">= 1"),
                "N": ("int", None, ">= 1"), "p_target": ("float", None, "> 0, <= 1"),
-               "solve_samples": ("int", 0, None)},
+               "solve_samples": ("int", 0, (0, 1))},
     "rip-mc": {**_MAP, **_CONES, **_ENSEMBLE, "n_samples": ("int", 10_000, ">= 1"),
                "delta": _DELTA},
     "concentration": {"n": ("int", REQUIRED, ">= 1"), **_ENSEMBLE,

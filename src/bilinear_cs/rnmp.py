@@ -18,9 +18,9 @@ sweep, the alternating starts and `sensing.rip_monte_carlo` as (T, S)
 and (T, F) coefficient blocks, and `apply_restricted_batch` evaluates
 them without embedding a sample at length N.  It accumulates the images as
 coordinate rows, one per coordinate of the output support (at most S F
-of the N under convolution), and hands back their (T, K) transpose; the
-image norms are sums over those rows (`sparse_model.row_norms`), bit for
-bit np.linalg.norm's at length N.  The alternating search runs the min
+of the N under convolution), and hands back their (T, K) transpose; an
+image's norm is the root of its squares summed over those K coordinates
+in order (`sparse_model.row_norms`).  The alternating search runs the min
 and max runs of all its restarts as one lockstep stack (`_alternate`).
 The certifier grids one cone and solves the other exactly: with the
 outer argument u fixed, T(u, .) is the matrix A(u) = sum_k u_k B_k,
@@ -184,7 +184,7 @@ def cone_pair_blocks(images: np.ndarray, cone_x: ConeSpec, cone_y: ConeSpec,
     extends (rather than reshuffles) the sweep.  Yields (xc, yc, support,
     zs, norms) a block: the (T, S) and (T, F) coefficients,
     `apply_restricted_batch`'s output support and (T, K) images, and the
-    images' norms at length N.
+    images' norms (`row_norms` over the support's coordinates).
     """
     rng_x, rng_y = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     rows = _brute_rows(images)
@@ -193,7 +193,7 @@ def cone_pair_blocks(images: np.ndarray, cone_x: ConeSpec, cone_y: ConeSpec,
         xc = unit_cone_coefficients(cone_x, count, rng_x)
         yc = unit_cone_coefficients(cone_y, count, rng_y)
         support, zs = apply_restricted_batch(images, xc, yc)
-        yield xc, yc, support, zs, row_norms(zs, support, images.shape[2])
+        yield xc, yc, support, zs, row_norms(zs)
         samples -= count
 
 

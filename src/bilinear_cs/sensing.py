@@ -136,10 +136,11 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     block from `rnmp.cone_pair_blocks` with their images on the output
     support, K of the N coordinates; each block's Phi z is measured with
     the K columns of Phi, so no array spans N or the whole sweep (save
-    the distortions).  The norms keep the bits of the full-length
-    images; Phi z keeps them while the support lies in one 256-wide
-    block of OpenBLAS's gemm (always at N <= 256) and more than one
-    sample of its block is measured, else it may differ in the last bit.
+    the distortions).  Each norm sums its image's squares over the K
+    coordinates in order.  Phi z keeps the bits of the full-length
+    product while the support lies in one 256-wide block of OpenBLAS's
+    gemm (always at N <= 256) and more than one sample of its block is
+    measured, else it may differ in the last bit.
 
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
     (e.g. orthonormalized rows for the isometry control).  Outputs with

@@ -9,7 +9,6 @@ are given, so a caller that seeds the generator fixes the draw.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -110,46 +109,16 @@ def is_properly_separated(i_set: Support, j_set: Support) -> bool:
     return support_sum(i_set, j_set).size == i_set.size * j_set.size
 
 
-def _sum_squares(columns: np.ndarray, positions: list, lo: int, hi: int):
-    """Rowwise sum of the squares of the columns at positions lo <= p < hi
-    (columns[:, c] sits at positions[c], zeros everywhere else), in the
-    order of numpy's pairwise float sum over coordinates lo..hi-1: in
-    sequence below 8 terms, in eight running sums up to 128 terms, and by
-    halving (at a multiple of 8) above that.  A zero square adds an exact
-    0, so the zero coordinates are skipped, and a sum of none is 0.0."""
-    first, last = bisect_left(positions, lo), bisect_left(positions, hi)
-    if first == last:
-        return 0.0
-    n = hi - lo
-    if n > 128:
-        mid = lo + n // 2 - n // 2 % 8
-        out = _sum_squares(columns, positions, lo, mid)
-        out += _sum_squares(columns, positions, mid, hi)
-        return out
-    out, rest = 0.0, first
-    if n >= 8:
-        rest = bisect_left(positions, hi - n % 8)
-        r = [0.0] * 8
-        for c in range(first, rest):
-            r[(positions[c] - lo) % 8] += np.square(columns[:, c])
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            r[i] += r[j]
-        out = r[0]
-    for c in range(rest, last):
-        out += np.square(columns[:, c])
-    return out
-
-
-def row_norms(columns: np.ndarray, positions=None, width=None) -> np.ndarray:
-    """np.linalg.norm(a, axis=1), bit for bit, of the (T, width) array a
-    holding columns[:, c] in column positions[c] (increasing) and zeros
-    elsewhere, or of a = columns when no positions are given; taken one
-    column at a time (contiguous if F-ordered): neither a nor its squares are built."""
-    if positions is None:
-        positions, width = range(columns.shape[1]), columns.shape[1]
-    total = _sum_squares(columns, [int(p) for p in positions], 0, width)
-    return np.sqrt(total) if np.ndim(total) else np.zeros(columns.shape[0])
+def row_norms(columns: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a (T, K) array: the root of its
+    squares summed column by column in column order, from zeros, so no
+    squared copy is built (the columns are contiguous if F-ordered).
+    Below 8 columns numpy sums in the same order, so this is
+    np.linalg.norm(columns, axis=1) bit for bit; with no columns it is 0."""
+    total = np.zeros(columns.shape[0])
+    for c in range(columns.shape[1]):
+        total += np.square(columns[:, c])
+    return np.sqrt(total)
 
 
 def unit_cone_coefficients(cone: ConeSpec, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -137,6 +137,9 @@ def test_config_validation():
                          output_path="x", format="yaml")
     with pytest.raises(ConfigError):
         ExperimentConfig(command="bounds", parameters={}, seed="zero", output_path="x")
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(command="bounds", parameters={}, seed=-1, output_path="x")
+    assert err.value.field == "seed"
     with pytest.raises(ConfigError):
         ExperimentConfig(command="bounds", parameters={}, seed=0, output_path="")
 
@@ -401,6 +404,24 @@ def test_unknown_parameter_exits_2(tmp_path, capsys):
     assert err["error"]["field"] == "widget"
 
 
+@pytest.mark.parametrize("command, parameters", [
+    ("rnmp", {"map": "circular_convolution", "n": 5, "i": [0, 1], "j": [1, 3],
+              "method": "brute", "samples": 10}),
+    ("concentration", {"n": 4, "M": 2, "trials": 100, "delta": 0.5}),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100}),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, command, parameters):
+    # in the config or on the command line; SeedSequence takes no negative seed
+    body = {"schema": 1, "command": command, "parameters": parameters, "seed": -1,
+            "output": str(tmp_path / "out.json")}
+    assert main(["--config", write_config(tmp_path, "neg.json", body)]) == 2
+    body["seed"] = 3
+    assert main(["--config", write_config(tmp_path, "pos.json", body), "--seed", "-1"]) == 2
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()]
+    assert [(e["kind"], e["field"]) for e in errors] == [("config", "seed")] * 2
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_missing_parameter_exits_2(tmp_path, capsys):
     body = {
         "schema": 1,
@@ -472,6 +493,10 @@ CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
      "m_grid"),
     ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
                 "solve_samples": 1, "N": 64, "p_target": 0.0}, "p_target"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
+                "solve_samples": -7, "N": 64, "p_target": 0.5}, "solve_samples"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
+                "solve_samples": 2, "N": 64, "p_target": 0.5}, "solve_samples"),
     ("recover", {**CONE_PAIR, "M": 4, "k": 0}, "k"),
     ("recover", {**CONE_PAIR, "M": 4, "tol": 0.0}, "tol"),
     ("phase", {"map": "pointwise", "n": 8, "S": 2, "F": 2, "m_grid": [4], "trials": 1,

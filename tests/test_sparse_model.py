@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,21 +136,45 @@ def test_unit_cone_directions_embed_the_coefficients():
         assert np.array_equal(dirs, embedded)
 
 
-def test_row_norms_match_numpy_at_every_width_to_300():
-    # widths cross numpy's pairwise-sum rules: in sequence below 8 terms,
-    # eight running sums up to 128, halving above; a numpy that sums in
-    # another order fails here
+def norm_cases(widths):
+    """(width, a): a (9, width) array per width with zero columns, an
+    all-zero row, a row of subnormals and a row whose squares near overflow."""
     rng = np.random.default_rng(12)
-    for width in range(1, 301):
+    for width in widths:
         a = rng.standard_normal((9, width)) * np.exp(rng.uniform(-20, 20, (9, width)))
         a[:, rng.random(width) < 0.2] = 0.0  # zero columns
         a[0] = 0.0  # an all-zero row
         a[1, ::2] = 5e-324 * rng.integers(1, 1000, a[1, ::2].shape)  # subnormal
         a[2, ::3] = 1e150 * rng.standard_normal(a[2, ::3].shape)  # squares near overflow
-        want = np.linalg.norm(a, axis=1)
+        yield width, a
+
+
+def test_row_norms_sum_each_rows_squares_in_column_order():
+    # the rule, spelled out in Python floats: start from 0.0, add each
+    # square in column order, take the root
+    for width, a in norm_cases(range(301)):
+        want = []
+        for row in a.tolist():
+            total = 0.0
+            for v in row:
+                total += v * v
+            want.append(math.sqrt(total))
         assert np.array_equal(row_norms(a), want), width
         assert np.array_equal(row_norms(np.asfortranarray(a)), want), width
-    assert np.array_equal(row_norms(np.zeros((3, 1))), np.zeros(3))
+
+
+def test_row_norms_equal_numpy_norm_below_8_columns():
+    # numpy sums fewer than 8 terms in sequence too, so every norm of a
+    # cone draw of dimension below 8 (all of N <= 5) keeps numpy's bits
+    for width, a in norm_cases(range(1, 8)):
+        assert np.array_equal(row_norms(a), np.linalg.norm(a, axis=1)), width
+
+
+def test_row_norms_are_within_width_ulps_of_numpy_norm():
+    # above 7 columns numpy sums pairwise, which regroups the same squares
+    for width, a in norm_cases(range(1, 301)):
+        want = np.linalg.norm(a, axis=1)
+        assert np.all(np.abs(row_norms(a) - want) <= width * np.finfo(float).eps * want), width
 
 
 class ScriptedNormals:
