@@ -298,7 +298,10 @@ def _run_rnmp(p: dict, seed: int) -> Tuple[RnmpEstimate, None]:
     elif p["method"] == "alternating":
         est = estimate_alternating(spec, cone_x, cone_y, restarts=p["restarts"], seed=seed)
     else:
-        est = certify_exhaustive(spec, cone_x, cone_y, grid_per_dim=p["grid_per_dim"])
+        try:
+            est = certify_exhaustive(spec, cone_x, cone_y, grid_per_dim=p["grid_per_dim"])
+        except ValueError as exc:  # the grid-size guard
+            raise ConfigError("grid_per_dim", str(exc))
     return est, None
 
 

@@ -7,11 +7,10 @@ images of bilinear maps, and the single-vector concentration experiment
 (how often |Phi r| strays from |r| by more than delta/2, against the
 2 exp(-c0 M) ceiling).
 
-Concentration trials draw from per-trial child streams spawned off the
-master seed (seeded in one vectorized pass), so trial t is reproducible
-in any execution order and results merge associatively; distortion
-sweeps draw their cone pairs from `rnmp.cone_pair_blocks`.  All of it
-runs single-threaded; the stream layout is what makes parallel runs legal.
+Concentration trial t is row t of one `default_rng(seed)` stream, drawn
+in blocks, so a larger trial count extends the same sequence; Rademacher
+trials draw only the signs in supp(r)'s columns.  Distortion sweeps draw
+their cone pairs from `rnmp.cone_pair_blocks`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .bilinear_ops import BilinearMapSpec
 from .bounds import c0
@@ -38,9 +36,8 @@ _SIZE_GUARD = 10 ** 7
 # levels of the |distortion| quantiles a DistortionReport carries
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
 
-# numpy SeedSequence's hash constants: hashmix, mix and generate_state
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# entries drawn per block of concentration trials
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -214,36 +211,6 @@ class ConcentrationResult:
         self.ratios.setflags(write=False)
 
 
-@dataclass
-class _SeedWords(ISeedSequence):
-    """SFC64's three seed words: one row of `_spawned_sfc64_states`."""
-
-    words: np.ndarray
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _spawned_sfc64_states(seed: int, n: int) -> np.ndarray:
-    """(n, 3) uint64 array whose row t is `SeedSequence(seed).spawn(n)[t]
-    .generate_state(3, np.uint64)`: the spawn key t hashed into the
-    parent's pool (after its 16 + 4 max(0, w - 4) hashmix calls for a
-    w-word seed), then hashed out, for all t at once in wrapping uint32."""
-    if n >= 2 ** 32:
-        raise ValueError(f"spawn keys are one 32-bit word: need n < 2**32, got {n}")
-    pool = np.random.SeedSequence(seed).pool  # validates the seed
-    k = 16 + 4 * max(0, (int(seed).bit_length() + 31) // 32 - 4)  # w: the seed in 32-bit words
-    # hashmix: xor hash constant i, multiply by constant i + 1, xorshift by 16
-    a = np.array([_INIT_A * pow(_MULT_A, i, 2**32) % 2**32 for i in range(k, k + 5)], np.uint32)
-    b = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32 for i in range(7)], np.uint32)
-    h = (np.arange(n, dtype=np.uint32)[:, None] ^ a[:-1]) * a[1:]
-    pool = _MIX_L * pool - _MIX_R * (h ^ h >> 16)
-    pool ^= pool >> 16
-    h = (pool[:, [0, 1, 2, 3, 0, 1]] ^ b[:-1]) * b[1:]  # six words, cycling the pool
-    # word pairs, low word first, as generate_state joins them
-    return np.ascontiguousarray(h ^ h >> 16, dtype="<u4").view("<u8").astype(np.uint64)
-
-
 def concentration_test(r: np.ndarray,
                        ensemble_template: MeasurementEnsemble,
                        trials: int,
@@ -251,18 +218,19 @@ def concentration_test(r: np.ndarray,
     """Fraction of independent matrix draws with | |Phi r| - |r| | >
     (delta/2) |r|, against the ceiling 2 exp(-c0(delta) M).
 
-    The template's seed is the master seed; trial t uses the t-th
-    spawned child stream (SFC64 here for throughput; the stream layout,
-    not the bit generator, is what fixes reproducibility).  Needs
-    100 <= trials < 2**32 so the empirical rate means anything.
+    The template's seed seeds one `default_rng` stream, and trial t is
+    its row t: trials are drawn in blocks whose row count depends only
+    on M and |supp(r)|, so a larger `trials` extends the sequence and
+    keeps every earlier trial.  Needs trials >= 100 so the empirical
+    rate means anything.
 
     Gaussian trials draw Phi r itself, not Phi: with i.i.d. N(0, 1/M)
     entries, Phi r ~ N(0, |r|^2/M I_M) exactly, so |Phi r| / |r| has
     the law of |g| / sqrt(M) for g ~ N(0, I_M), and a trial costs M
-    normals instead of M*N.  Rademacher Phi r has no such closed form,
-    so those trials draw the raw SFC64 words of the full M x N sign
-    matrix, as `integers(0, 2)` would bit for bit (a test pins this),
-    and decode only the M |supp(r)| signs that meet r's nonzeros.
+    normals instead of M*N.  Rademacher Phi r depends only on the
+    columns of Phi in supp(r), so those trials draw just those M
+    |supp(r)| signs s and take y = (2s - 1) r[supp], unscaled; the ratio
+    is |y| / (sqrt(M) |r|).
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -279,37 +247,20 @@ def concentration_test(r: np.ndarray,
         raise ValueError("r must be nonzero")
 
     m = ensemble_template.rows
-    cols = ensemble_template.cols
-    states = _spawned_sfc64_states(ensemble_template.seed, trials)
+    rng = np.random.default_rng(ensemble_template.seed)  # validates the seed
     ratios = np.empty(trials)
-    # hot loop: SFC64 streams and unscaled draws (the 1/sqrt(M) factor
-    # moves into the final norm); gaussian trials draw only the M
-    # entries of sqrt(M) Phi r / |r| (see the docstring).  For int64
-    # output `integers(0, 2)` keeps bit 31 of each 32-bit half of a raw
-    # word, low half first, and a fresh SFC64 holds no buffered half, so
-    # sign k is 1 where half k (of the little-endian words) is negative
-    # as an int32, else -1.  Rademacher trials write copysign(1, half k),
-    # minus sign k, only at the entries k in supp(r)'s columns of one
-    # reused M x N buffer that is 0 elsewhere: the product is then
-    # exactly minus signs @ r, and its norm keeps its bits
-    root_m = math.sqrt(m)
-    scale = root_m * norm_r
-    if ensemble_template.kind == GAUSSIAN:
-        for t, state in enumerate(states):
-            g = np.random.Generator(np.random.SFC64(_SeedWords(state))).standard_normal(m)
-            ratios[t] = math.sqrt(g.dot(g)) / root_m  # np.linalg.norm(g), bit for bit
-    else:
-        words = (m * cols + 1) // 2
-        pos = (np.arange(m)[:, None] * cols + np.flatnonzero(r)).ravel()
-        pos = slice(0, m * cols) if pos.size == m * cols else pos  # a view for dense r
-        flat = np.zeros(m * cols)
-        signs, decoded = flat.reshape(m, cols), flat[pos]
-        for t, state in enumerate(states):
-            raw = np.random.SFC64(_SeedWords(state)).random_raw(words)
-            np.copysign(1.0, raw.astype("<u8", copy=False).view("<i4")[pos], out=decoded)
-            flat[pos] = decoded  # a no-op when decoded is a view of flat
-            y = signs @ r
-            ratios[t] = math.sqrt(y.dot(y)) / scale
+    gaussian = ensemble_template.kind == GAUSSIAN
+    support = np.flatnonzero(r)
+    scale = math.sqrt(m) * (1.0 if gaussian else norm_r)
+    step = max(1, _BLOCK // (m if gaussian else m * support.size))
+    for start in range(0, trials, step):
+        rows = min(step, trials - start)
+        if gaussian:
+            y = rng.standard_normal((rows, m))
+        else:
+            signs = rng.integers(0, 2, size=(rows * m, support.size), dtype=bool)
+            y = ((2.0 * signs - 1.0) @ r[support]).reshape(rows, m)
+        ratios[start:start + rows] = np.linalg.norm(y, axis=1) / scale
 
     violations = int(np.sum(np.abs(ratios - 1.0) > delta / 2.0))
     return ConcentrationResult(

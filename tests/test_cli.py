@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,7 +304,7 @@ def test_overrides_do_not_carry_into_the_next_call(tmp_path):
     assert doc["config"]["output"] == str(tmp_path / "out.json")
 
 
-def test_oversized_grid_exits_1_before_building_it(tmp_path, capsys, monkeypatch):
+def test_oversized_grid_exits_2_before_building_it(tmp_path, capsys, monkeypatch):
     def no_grid(*args):
         raise AssertionError("grid built before the guard")
 
@@ -315,11 +318,11 @@ def test_oversized_grid_exits_1_before_building_it(tmp_path, capsys, monkeypatch
         "output": str(tmp_path / "grid.json"),
     }
     path = write_config(tmp_path, "grid_cfg.json", body)
-    assert main(["--config", path]) == 1
+    assert main(["--config", path]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == {
-        "kind": "runtime",
+        "kind": "config", "field": "grid_per_dim",
         "message": f"grid of {64 ** 10} pairs exceeds the {rnmp.GRID_GUARD} guard"}
     assert not (tmp_path / "grid.json").exists()
 
@@ -508,6 +511,8 @@ CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
     ("phase", {"map": "pointwise", "n": 8, "S": 2, "F": 2, "m_grid": [4, 9], "trials": 1},
      "m_grid"),
     ("recover", {**CONE_PAIR, "M": 4, "k": 5}, "k"),
+    ("rnmp", {**CONE_PAIR, "i": [0, 1, 2, 3], "j": [0, 1, 2, 3], "method": "grid",
+              "grid_per_dim": 100}, "grid_per_dim"),
     ("concentration", {"n": 4, "M": 2, "trials": 100, "delta": 0.5, "r": [1.0, 2.0]}, "r"),
     ("concentration", {"n": 2, "M": 2, "trials": 100, "delta": 0.5, "r": [0.0, 0]}, "r"),
 ])
@@ -930,3 +935,13 @@ def test_result_keys_are_frozen(tmp_path, command):
     assert main(["--config", path]) == 0
     result = json.loads((tmp_path / "out.json").read_text())["result"]
     assert sorted(_key_paths(result)) == keys.split()
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    # numpy loads numpy.random on first use; the CLI leaves it to the first draw
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import bilinear_cs.cli; "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -303,6 +303,10 @@ def test_concentration_validation():
         concentration_test(np.ones(15), e, trials=100, delta=0.5)
     with pytest.raises(ValueError):
         concentration_test(r, e, trials=100, delta=1.0)
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match=str(numpy_error.value)):
+        concentration_test(r, MeasurementEnsemble(GAUSSIAN, 8, 16, -1), trials=100, delta=0.5)
 
 
 @pytest.mark.parametrize("kind", [GAUSSIAN, RADEMACHER])
@@ -310,7 +314,11 @@ def test_concentration_validation():
 def test_concentration_rejects_non_finite_r(monkeypatch, kind, bad):
     # r = [inf, 0, ...] read a Rademacher rate of 0.0 and a gaussian rate
     # for a vector that does not exist; it is now rejected before any draw
-    monkeypatch.setattr(sensing, "_spawned_sfc64_states", None)
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
     r = np.zeros(8)
     r[0] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -372,101 +380,58 @@ def test_concentration_empirical_under_theory_across_seeds():
     assert res.empirical_rate <= res.theory_rate
 
 
-def _test_vectors(n):
-    # e_0 (the CLI default), e_{N-1}, 2- and 3-sparse and dense r
-    rng = np.random.default_rng(n)
-    vectors = {"e0": np.eye(n)[0], "elast": np.eye(n)[-1],
-               "dense": rng.standard_normal(n)}
-    for k in (2, 3):
-        r = np.zeros(n)
-        idx = rng.choice(n, size=min(k, n), replace=False)
-        r[idx] = rng.standard_normal(idx.size)
-        vectors[f"sparse{k}"] = r
-    return vectors
-
-
-@pytest.mark.parametrize("kind", ["e0", "elast", "sparse2", "sparse3", "dense"])
+@pytest.mark.parametrize("last", [False, True])
 @pytest.mark.parametrize("n,m", [(128, 32), (128, 64), (256, 64), (256, 128),
                                  (200, 200), (7, 3), (201, 199), (1, 1)])
-def test_concentration_rademacher_ratios_match_integers_draws(n, m, kind):
-    # each trial's signs come from raw SFC64 words, decoded only where r
-    # is nonzero; Phi r must keep the bits of the full Generator.integers(0, 2)
-    # matrix on the trial's stream, with odd M*N (a dropped high half)
-    # included; this also guards against a numpy release that lays out
-    # the bits of integers differently
-    r = _test_vectors(n)[kind]
-    e = MeasurementEnsemble(RADEMACHER, m, n, 1000 + m)
-    got = concentration_test(r, e, trials=100, delta=0.5).ratios
-    scale = math.sqrt(m) * float(np.linalg.norm(r))
-    ref = []
-    for child in np.random.SeedSequence(e.seed).spawn(100):
-        gen = np.random.Generator(np.random.SFC64(child))
-        signs = 2.0 * gen.integers(0, 2, size=(m, n)) - 1.0
-        ref.append(np.linalg.norm(signs @ r) / scale)
-    assert np.array_equal(got, np.array(ref))
+def test_concentration_rademacher_one_sparse_ratios_are_exactly_one(n, m, last):
+    # with r = e_k, Phi r is column k of Phi: M signs of size 1/sqrt(M)
+    r = np.eye(n)[-1 if last else 0]
+    res = concentration_test(r, MeasurementEnsemble(RADEMACHER, m, n, 1000 + m), 100, 0.5)
+    assert np.all(res.ratios == 1.0) and res.violations == 0
 
 
-SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 128, 2 ** 200 + 11,
-         10 ** 30, 123 * 10 ** 30]
+def _binomial_two_sided_p(count, n, p):
+    # exact two-sided p-value of count under Binomial(n, p): twice the
+    # smaller tail, each summed from the log-space pmf
+    ks = np.arange(n + 1)
+    log_pmf = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        for k in ks]) + ks * math.log(p) + (n - ks) * math.log1p(-p)
+    pmf = np.exp(log_pmf)
+    return min(1.0, 2.0 * min(pmf[:count + 1].sum(), pmf[count:].sum()))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_spawned_states_match_numpy_spawn(seed):
-    for n in (1, 2, 100, 257):
-        ref = [c.generate_state(3, np.uint64)
-               for c in np.random.SeedSequence(seed).spawn(n)]
-        got = sensing._spawned_sfc64_states(seed, n)
-        assert got.dtype == np.uint64 and got.shape == (n, 3)
-        assert np.array_equal(got, np.array(ref)), (seed, n)
+def test_concentration_rademacher_law_is_binomial():
+    # with r = e_a + e_b, |Phi r|^2 M / |r|^2 = 2B for B ~ Binomial(M, 1/2),
+    # the rows whose two signs agree; each of the M + 1 counts of B must fit
+    # its exact binomial law, at a family-wise false-alarm rate of 1e-6
+    m, n, trials = 16, 40, 4000
+    r = np.zeros(n)
+    r[[3, 29]] = 1.0
+    res = concentration_test(r, MeasurementEnsemble(RADEMACHER, m, n, 2008), trials, 0.5)
+    b = m * res.ratios ** 2 / 2.0
+    assert np.max(np.abs(b - np.round(b))) < 1e-12
+    counts = np.bincount(np.round(b).astype(int), minlength=m + 1)
+    assert counts.size == m + 1
+    for k, count in enumerate(counts):
+        p_k = math.comb(m, k) / 2.0 ** m
+        prob = _binomial_two_sided_p(int(count), trials, p_k)
+        assert prob > 1e-6 / (m + 1), (k, count, trials * p_k)
 
 
-def test_spawned_states_reject_a_negative_seed_as_numpy_does():
-    with pytest.raises(ValueError) as numpy_error:
-        np.random.SeedSequence(-1)
-    with pytest.raises(ValueError, match=str(numpy_error.value)):
-        sensing._spawned_sfc64_states(-1, 100)
-    with pytest.raises(ValueError, match=str(numpy_error.value)):
-        concentration_test(np.ones(4), MeasurementEnsemble(GAUSSIAN, 2, 4, -1), 100, 0.5)
-
-
-@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 10 ** 30])
-def test_sfc64_from_a_state_row_matches_sfc64_from_the_child(seed):
-    rows = sensing._spawned_sfc64_states(seed, 5)
-    for row, child in zip(rows, np.random.SeedSequence(seed).spawn(5)):
-        got = np.random.SFC64(sensing._SeedWords(row)).random_raw(64)
-        assert np.array_equal(got, np.random.SFC64(child).random_raw(64))
-
-
-def test_spawn_keys_past_one_word_raise_before_allocating():
-    # keys are built as uint32, so 2**32 trials would wrap key 0 around;
-    # the check comes first, so neither call allocates anything sized by n
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            sensing._spawned_sfc64_states(0, 2 ** 32)
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            concentration_test(np.ones(4), MeasurementEnsemble(RADEMACHER, 2, 4, 0),
-                               2 ** 32, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6, peak
-
-
-def test_concentration_does_not_spawn_seed_sequences(monkeypatch):
-    # the children's seed words come from one vectorized pass, not from
-    # numpy's per-child spawn
-    class NoSpawn(np.random.SeedSequence):
-        def spawn(self, n_children):
-            raise AssertionError("SeedSequence.spawn called")
-
-    r = _test_vectors(16)["sparse3"]
-    want = [concentration_test(r, MeasurementEnsemble(kind, 8, 16, 3), 100, 0.5).ratios
-            for kind in (GAUSSIAN, RADEMACHER)]
-    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
-    for kind, ratios in zip((GAUSSIAN, RADEMACHER), want):
-        res = concentration_test(r, MeasurementEnsemble(kind, 8, 16, 3), 100, 0.5)
-        assert np.array_equal(res.ratios, ratios)
+@pytest.mark.parametrize("kind,m,n,r_seed,short,long", [
+    (GAUSSIAN, 500, 500, None, 100, 1000),
+    (RADEMACHER, 128, 256, 5, 100, 300),
+])
+def test_concentration_more_trials_extend_the_sequence(kind, m, n, r_seed, short, long):
+    # trial t is row t of the seed's one stream whatever the trial count;
+    # the longer run spans several blocks
+    r = np.ones(n) if r_seed is None else np.random.default_rng(r_seed).standard_normal(n)
+    e = MeasurementEnsemble(kind, m, n, 44)
+    a = concentration_test(r, e, short, 0.5).ratios
+    b = concentration_test(r, e, long, 0.5).ratios
+    width = m * (np.count_nonzero(r) if kind == RADEMACHER else 1)
+    assert long > sensing._BLOCK // width
+    assert np.array_equal(a, b[:short])
 
 
 def _chi2_even_sf(x, k):
