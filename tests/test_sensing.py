@@ -380,9 +380,12 @@ def test_concentration_empirical_under_theory_across_seeds():
     assert res.empirical_rate <= res.theory_rate
 
 
+SHAPES = [(128, 32), (128, 64), (256, 64), (256, 128), (200, 200), (7, 3), (201, 199),
+          (1, 1)]
+
+
 @pytest.mark.parametrize("last", [False, True])
-@pytest.mark.parametrize("n,m", [(128, 32), (128, 64), (256, 64), (256, 128),
-                                 (200, 200), (7, 3), (201, 199), (1, 1)])
+@pytest.mark.parametrize("n,m", SHAPES)
 def test_concentration_rademacher_one_sparse_ratios_are_exactly_one(n, m, last):
     # with r = e_k, Phi r is column k of Phi: M signs of size 1/sqrt(M)
     r = np.eye(n)[-1 if last else 0]
@@ -432,6 +435,52 @@ def test_concentration_more_trials_extend_the_sequence(kind, m, n, r_seed, short
     width = m * (np.count_nonzero(r) if kind == RADEMACHER else 1)
     assert long > sensing._BLOCK // width
     assert np.array_equal(a, b[:short])
+
+
+def _test_vectors(n):
+    # e_0 (the CLI default), e_{N-1}, 2- and 3-sparse and dense r
+    rng = np.random.default_rng(n)
+    vectors = {"e0": np.eye(n)[0], "elast": np.eye(n)[-1],
+               "dense": rng.standard_normal(n)}
+    for k in (2, 3):
+        r = np.zeros(n)
+        idx = rng.choice(n, size=min(k, n), replace=False)
+        r[idx] = rng.standard_normal(idx.size)
+        vectors[f"sparse{k}"] = r
+    return vectors
+
+
+@pytest.mark.parametrize("kind", ["e0", "elast", "sparse2", "sparse3", "dense"])
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_concentration_gaussian_ratios_are_row_norms_of_one_normal_draw(n, m, kind):
+    # |Phi r| / |r| has the law of |g| / sqrt(M) whatever r is, so the
+    # ratios are the row norms of one standard_normal((trials, M)) draw on
+    # the seed's stream; 700 trials cross a block at M >= 94
+    r = _test_vectors(n)[kind]
+    e = MeasurementEnsemble(GAUSSIAN, m, n, 1000 + m)
+    got = concentration_test(r, e, trials=700, delta=0.5).ratios
+    g = np.random.default_rng(e.seed).standard_normal((700, m))
+    assert np.array_equal(got, np.linalg.norm(g, axis=1) / math.sqrt(m))
+
+
+@pytest.mark.parametrize("kind", ["sparse2", "sparse3", "dense"])
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_concentration_rademacher_ratios_depend_only_on_supp_values(n, m, kind):
+    # Rademacher trials draw only the signs in supp(r)'s columns, so moving
+    # r's nonzeros to other columns of a wider N, in the same order, or
+    # negating r keeps every ratio; the wider |r| may round differently
+    r = _test_vectors(n)[kind]
+    values = r[np.flatnonzero(r)]
+    wide = np.zeros(n + 7)
+    wide[np.sort(np.random.default_rng(n).choice(n + 7, values.size, replace=False))] = values
+    want = concentration_test(r, MeasurementEnsemble(RADEMACHER, m, n, 1000 + m), 100, 0.5)
+    assert np.array_equal(
+        concentration_test(-r, MeasurementEnsemble(RADEMACHER, m, n, 1000 + m), 100, 0.5).ratios,
+        want.ratios)
+    moved = concentration_test(wide, MeasurementEnsemble(RADEMACHER, m, n + 7, 1000 + m), 100,
+                               0.5)
+    np.testing.assert_allclose(moved.ratios, want.ratios, rtol=1e-14, atol=0)
+    assert moved.violations == want.violations
 
 
 def _chi2_even_sf(x, k):
