@@ -40,6 +40,7 @@ from .sparse_model import CONE_KINDS, SUBSPACE, ConeSpec, support_from_indices
 SCHEMA_VERSION = 1
 COMMANDS = ("rnmp", "bounds", "rip-mc", "concentration", "recover", "phase")
 FORMATS = ("json", "csv")
+_CSV_COMMANDS = ("bounds", "rip-mc", "phase")
 
 _CLI_MAPS = {"pointwise": POINTWISE, "circular_convolution": CIRCULAR_CONVOLUTION}
 
@@ -263,6 +264,8 @@ def _parameters(config: ExperimentConfig) -> dict:
 
 
 def _cone(p: dict, index_key: str, kind_key: str) -> ConeSpec:
+    if len(set(p[index_key])) < len(p[index_key]):
+        raise ConfigError(index_key, f"repeats an index: {p[index_key]!r}")
     try:
         return ConeSpec(support_from_indices(p[index_key], p["n"]), p[kind_key])
     except ValueError as exc:
@@ -307,8 +310,8 @@ def _run_rnmp(p: dict, seed: int) -> Tuple[RnmpEstimate, None]:
 
 def _run_bounds(p: dict, seed: int) -> Tuple[dict, _Table]:
     case, s, f, delta, n = p["case"], p["S"], p["F"], p["delta"], p["N"]
-    if p["m_grid"] is None and p["M"] is None:
-        raise ConfigError("M", "missing required parameter")
+    if (p["m_grid"] is None) == (p["M"] is None):
+        raise ConfigError("M", "set exactly one of M and m_grid")
     if n is not None and s * f > n:
         raise ConfigError("N", f"the sparse model needs S*F <= N, got {s}*{f} > {n}")
     reports = [compose_bound_report(case, s, f, delta, m, n) for m in p["m_grid"] or [p["M"]]]
@@ -399,11 +402,11 @@ def _fail(exc: Exception) -> int:
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
+        if config.format == "csv" and config.command not in _CSV_COMMANDS:
+            raise ConfigError("format",
+                              f"command {config.command!r} has no CSV schema; use json")
         payload, table = _HANDLERS[config.command](_parameters(config), config.seed)
         if config.format == "csv":
-            if table is None:
-                raise ConfigError("format",
-                                  f"command {config.command!r} has no CSV schema; use json")
             _write_csv(config.output_path, _config_header(config), table)
         else:
             document = {"version": __version__, "config": config.echo(),

@@ -13,21 +13,20 @@ it keeps every probability bound built on top of it valid.
 On canonical supports I and J of sizes S and F the restricted map is
 fixed by its basis images B[a, b] = T(e_{i_a}, e_{j_b}) (`basis_images`,
 shape (S, F, N)); every estimator works on B in coefficient space.  One
-sampler, `cone_pair_blocks`, draws the random unit pairs of the brute
-sweep, the alternating starts and `sensing.rip_monte_carlo` as (T, S)
-and (T, F) coefficient blocks, and `apply_restricted_batch` evaluates
-them without embedding a sample at length N.  It accumulates the images as
-coordinate rows, one per coordinate of the output support (at most S F
-of the N under convolution), and hands back their (T, K) transpose; an
-image's norm is the root of its squares summed over those K coordinates
-in order (`sparse_model.row_norms`).  The alternating search runs the min
-and max runs of all its restarts as one lockstep stack (`_alternate`).
-The certifier grids one cone and solves the other exactly: with the
-outer argument u fixed, T(u, .) is the matrix A(u) = sum_k u_k B_k,
-whose extreme singular values are the extreme ratios over an inner
-subspace.  The sampler and the certifier work in blocks of one
-working-set budget, `_BLOCK` floats: block size changes no result, since
-draws fill in stream order and the first extreme wins across blocks.
+sampler, `cone_pair_blocks`, owns every sweep of random unit pairs (the
+brute sweep, the alternating starts and `sensing.rip_monte_carlo`): it
+evaluates (T, S) and (T, F) coefficient blocks on the output support of
+B alone (at most S F of the N coordinates under convolution), never at
+length N; an image's norm is the root of its squares summed over those
+coordinates in order (`sparse_model.row_norms`).  The alternating search
+runs the min and max runs of all its restarts as one lockstep stack
+(`_alternate`).  The certifier grids one cone and solves the other
+exactly: with the outer argument u fixed, T(u, .) is the matrix
+A(u) = sum_k u_k B_k, whose extreme singular values are the extreme
+ratios over an inner subspace.  The sampler and the certifier work in
+blocks of one working-set budget, `_BLOCK` floats: block size changes no
+result, since draws fill in stream order and the first extreme wins
+across blocks.
 
 Three estimators with different trade-offs:
 
@@ -138,62 +137,51 @@ def basis_images(spec: BilinearMapSpec, i_set: Support, j_set: Support) -> np.nd
     return images.reshape(s, f, n)
 
 
-def apply_restricted_batch(images: np.ndarray, xc: np.ndarray, yc: np.ndarray) -> tuple:
-    """Rowwise T(x_t, y_t) from coefficient batches xc (T, S) and yc (T, F)
-    on the support pair of the basis images B = `images`: the output
-    support, the K increasing coordinates k where some B[a, b, k] is
-    nonzero (every image is 0 elsewhere), and the images there as a (T, K)
-    F-ordered view, the transpose, not a copy, of the C-ordered (K, T)
-    coordinate rows it accumulates, one contiguous row per coordinate.
-
-    Row k sums B[a, b, k] yc[:, b] xc[:, a] in sequence over the nonzeros
-    of B[:, :, k] with b ascending, then a: the order in which
-    `apply_map_batch` sums, so convolution and pointwise images keep its
-    bits.
-    """
-    s, f, n = images.shape
-    coeffs = images.transpose(1, 0, 2).reshape(f * s, n)  # row b * s + a
-    support = np.flatnonzero(coeffs.any(axis=0))
-    coeffs = coeffs[:, support]
-    products = [yc[:, b] * xc[:, a] for b in range(f) for a in range(s)]
-    rows = np.zeros((support.size, xc.shape[0]))
-    for k, j in zip(*np.nonzero(coeffs.T)):
-        rows[k] += coeffs[j, k] * products[j]
-    return support, rows.T
-
-
 def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
     v = np.zeros(cone.ambient_dim)
     v[cone.support.as_array()] = coeffs
     return v
 
 
-def _brute_rows(images: np.ndarray) -> int:
-    """Pairs per block of `cone_pair_blocks`: one holds S + F coefficients,
-    S F pair products and a float per coordinate of the output support."""
-    s, f, _ = images.shape
-    return max(1, _BLOCK // (s + f + s * f + int(np.count_nonzero(images.any(axis=(0, 1))))))
-
-
 def cone_pair_blocks(images: np.ndarray, cone_x: ConeSpec, cone_y: ConeSpec,
                      samples: int, seed: int):
-    """Random unit pairs on the cone pair of the basis images, `samples`
-    in all, in blocks of `_brute_rows(images)`; a lone last pair joins the
-    block before it (a one-row product is a gemv).  The x and y draws
-    come from two streams spawned off `seed`, so a larger `samples`
-    extends (rather than reshuffles) the sweep.  Yields (xc, yc, support,
-    zs, norms) a block: the (T, S) and (T, F) coefficients,
-    `apply_restricted_batch`'s output support and (T, K) images, and the
-    images' norms (`row_norms` over the support's coordinates).
+    """`samples` random unit pairs (x_t, y_t) on the cone pair of the basis
+    images B = `images`, in blocks, with their images T(x_t, y_t).
+
+    The x and y draws come from two streams spawned off `seed`, so a
+    larger `samples` extends (rather than reshuffles) the sweep.  A block
+    holds the pairs that fit `_BLOCK` floats at S + F coefficients, S F
+    pair products and K image coordinates each; a lone last pair joins
+    the block before it (a one-row product is a gemv).  The output
+    support (the K increasing coordinates k where some B[a, b, k] is
+    nonzero; every image is 0 elsewhere) and B's nonzeros on it are found
+    once.  A block's images accumulate as C-ordered (K, T) rows: row k
+    sums B[a, b, k] yc[:, b] xc[:, a] in sequence over the nonzeros of
+    B[:, :, k], b ascending, then a, the order in which `apply_map_batch`
+    sums, so convolution and pointwise images keep its bits.  Yields
+    (xc, yc, support, zs, norms) a block: the (T, S) and (T, F)
+    coefficients, the output support, the images as the (T, K) F-ordered
+    view (the transpose, not a copy) of the rows, and their norms
+    (`row_norms` over the support's coordinates).
     """
+    s, f, n = images.shape
+    coeffs = images.transpose(1, 0, 2).reshape(f * s, n)  # row b * s + a
+    support = np.flatnonzero(coeffs.any(axis=0))
+    coeffs = coeffs[:, support]
+    terms = [(k, j, coeffs[j, k]) for k, j in zip(*np.nonzero(coeffs.T))]
+    block = max(1, _BLOCK // (s + f + s * f + support.size))
     rng_x, rng_y = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    rows = _brute_rows(images)
     while samples > 0:
-        count = samples if samples <= rows + 1 else rows
+        count = samples if samples <= block + 1 else block
         xc = unit_cone_coefficients(cone_x, count, rng_x)
         yc = unit_cone_coefficients(cone_y, count, rng_y)
-        support, zs = apply_restricted_batch(images, xc, yc)
-        yield xc, yc, support, zs, row_norms(zs)
+        products = [yc[:, b] * xc[:, a] for b in range(f) for a in range(s)]
+        rows = np.zeros((support.size, count))
+        for k, j, c in terms:
+            rows[k] += c * products[j]
+        del products
+        yield xc, yc, support, rows.T, row_norms(rows.T)
+        del xc, yc, rows  # held while the next block is drawn, they double its page faults
         samples -= count
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bilinear_ops import BilinearMapSpec
 from .bounds import c0
-from .rnmp import basis_images, cone_pair_blocks
+from .rnmp import _BLOCK, basis_images, cone_pair_blocks
 from .sparse_model import DEGENERATE_NORM, ConeSpec
 
 GAUSSIAN = "gaussian"
@@ -35,9 +35,6 @@ _SIZE_GUARD = 10 ** 7
 
 # levels of the |distortion| quantiles a DistortionReport carries
 QUANTILE_LEVELS = (0.5, 0.9, 0.99)
-
-# entries drawn per block of concentration trials
-_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -252,6 +249,7 @@ def concentration_test(r: np.ndarray,
     gaussian = ensemble_template.kind == GAUSSIAN
     support = np.flatnonzero(r)
     scale = math.sqrt(m) * (1.0 if gaussian else norm_r)
+    # rnmp's budget: block sizes interact through glibc's mmap threshold
     step = max(1, _BLOCK // (m if gaussian else m * support.size))
     for start in range(0, trials, step):
         rows = min(step, trials - start)

@@ -506,6 +506,10 @@ CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
                "delta_success": 0.0}, "delta_success"),
     # ranges across fields, checked by the handlers
     ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100, "N": 8}, "N"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
+                "m_grid": [100, 200]}, "M"),
+    ("rnmp", {**CONE_PAIR, "i": [3, 0, 0]}, "i"),
+    ("rip-mc", {**CONE_PAIR, "j": [4, 0, 4], "M": 4, "delta": 0.5}, "j"),
     ("phase", {"map": "pointwise", "n": 8, "S": 9, "F": 2, "m_grid": [4], "trials": 1}, "S"),
     ("phase", {"map": "pointwise", "n": 8, "S": 2, "F": 9, "m_grid": [4], "trials": 1}, "F"),
     ("phase", {"map": "pointwise", "n": 8, "S": 2, "F": 2, "m_grid": [4, 9], "trials": 1},
@@ -560,18 +564,28 @@ def test_unallocatable_arrays_exit_1_without_traceback(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_csv_without_schema_exits_2(tmp_path, capsys):
-    body = {
-        "schema": 1,
-        "command": "concentration",
-        "parameters": {"n": 32, "M": 16, "trials": 100, "delta": 0.5},
-        "output": str(tmp_path / "x.csv"),
-        "format": "csv",
-    }
-    path = write_config(tmp_path, "x.json", body)
-    assert main(["--config", path]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"]["field"] == "format"
+def test_csv_without_schema_exits_2(tmp_path, capsys, monkeypatch):
+    # rejected before the command runs: a probe stands in for its function
+    calls = []
+    for command, parameters, function in [
+            ("concentration", {"n": 32, "M": 16, "trials": 100, "delta": 0.5},
+             "concentration_test"),
+            ("rnmp", {**CONE_PAIR, "method": "brute", "samples": 2 * 10 ** 6},
+             "estimate_brute")]:
+        monkeypatch.setattr(cli, function, lambda *args, **kwargs: calls.append(args))
+        body = {
+            "schema": 1,
+            "command": command,
+            "parameters": parameters,
+            "output": str(tmp_path / "x.csv"),
+            "format": "csv",
+        }
+        path = write_config(tmp_path, "x.json", body)
+        assert main(["--config", path]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["field"] == "format"
+        assert not (tmp_path / "x.csv").exists()
+    assert calls == []
 
 
 def test_bad_config_file_exits_2(tmp_path, capsys):

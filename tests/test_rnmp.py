@@ -11,10 +11,9 @@ from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       UNITARY_PRODUCT, BilinearMapSpec,
                                       apply_map, apply_map_batch, dft_unitary)
 from bilinear_cs.rnmp import (GRID_GUARD, BruteEstimate,
-                              _covering_radius, _sphere_grid,
-                              apply_restricted_batch, basis_images,
-                              certify_exhaustive, estimate_alternating,
-                              estimate_brute)
+                              _covering_radius, _sphere_grid, basis_images,
+                              certify_exhaustive, cone_pair_blocks,
+                              estimate_alternating, estimate_brute)
 from bilinear_cs.sparse_model import (CONE_KINDS, POSITIVE_ORTHANT, SUBSPACE,
                                       ConeSpec, Support, support_from_indices,
                                       unit_cone_coefficients, unit_cone_directions)
@@ -64,6 +63,7 @@ def test_basis_images_reproduce_map():
     specs = [BilinearMapSpec(POINTWISE, n),
              BilinearMapSpec(CIRCULAR_CONVOLUTION, n),
              BilinearMapSpec(UNITARY_PRODUCT, n, unitary=dft_unitary(n))]
+    cone_x, cone_y = ConeSpec(i_set, SUBSPACE), ConeSpec(j_set, SUBSPACE)
     for spec in specs:
         b = basis_images(spec, i_set, j_set)
         assert b.shape == (n, j_set.size, n)
@@ -74,10 +74,14 @@ def test_basis_images_reproduce_map():
             y[j_set.as_array()] = coeffs
             z = np.einsum("a,b,abn->n", x, coeffs, b)
             assert np.allclose(z, apply_map(spec, x, y), atol=1e-9)
-            support, zk = apply_restricted_batch(b, x[None], coeffs[None])
-            z = np.zeros(n)
-            z[support] = zk[0]
-            assert np.allclose(z, apply_map(spec, x, y), atol=1e-9)
+        # the sampler's images, in one- and many-pair blocks
+        for samples, seed in ((1, 0), (10, 1)):
+            for xc, yc, support, zk, _ in cone_pair_blocks(b, cone_x, cone_y, samples, seed):
+                ys = np.zeros((len(yc), n))
+                ys[:, j_set.as_array()] = yc
+                z = np.zeros((len(xc), n))
+                z[:, support] = zk
+                assert np.allclose(z, apply_map_batch(spec, xc, ys), atol=1e-9)
 
 
 def test_estimate_orders_alpha_below_beta():
@@ -142,6 +146,11 @@ def dense_brute(spec, cone_x, cone_y, samples, seed):
     return r[i_min], r[i_max], (x[i_min], y[i_min]), (x[i_max], y[i_max])
 
 
+def block_rows(images, cone_x, cone_y):
+    """Pairs in the first block of a sweep too long for one block."""
+    return len(next(cone_pair_blocks(images, cone_x, cone_y, 10 ** 9, 0))[0])
+
+
 # supports and output supports of 8 or more coordinates are where numpy's
 # own row norm would sum pairwise instead of in sequence
 @pytest.mark.parametrize("n, i_idx, j_idx", [
@@ -157,7 +166,7 @@ def test_brute_matches_dense_sweep_bitwise(n, i_idx, j_idx, kind, cone_kind):
     cx = ConeSpec(support_from_indices(i_idx, n), cone_kind)
     cy = ConeSpec(support_from_indices(j_idx, n), cone_kind)
     # a lone last sample, which joins the block before it
-    samples = rnmp._brute_rows(basis_images(spec, cx.support, cy.support)) + 1
+    samples = block_rows(basis_images(spec, cx.support, cy.support), cx, cy) + 1
     est = estimate_brute(spec, cx, cy, samples=samples, seed=n)
     alpha, beta, wit_a, wit_b = dense_brute(spec, cx, cy, samples, seed=n)
     assert est.alpha_est == alpha and est.beta_est == beta
@@ -189,7 +198,7 @@ def test_block_budget_changes_no_byte(monkeypatch, kind, cone_kind):
     outputs = set()
     for brute_budget, rows, grid_budget in budgets:
         monkeypatch.setattr(rnmp, "_BLOCK", brute_budget)
-        assert rows is None or rnmp._brute_rows(images) == rows
+        assert rows is None or block_rows(images, cx, cy) == rows
         brute = estimate_brute(spec, cx, cy, samples=samples, seed=3)
         monkeypatch.setattr(rnmp, "_BLOCK", grid_budget)
         grid = certify_exhaustive(spec, cx, cy, grid_per_dim=g)
@@ -236,24 +245,33 @@ def c_order_restricted(images, xc, yc):
 
 @pytest.mark.parametrize("n", [3, 5, 8, 13, 64, 256])
 @pytest.mark.parametrize("kind", [POINTWISE, CIRCULAR_CONVOLUTION, UNITARY_PRODUCT])
-def test_restricted_batch_matches_c_order_loop_bitwise(n, kind):
+def test_restricted_batch_matches_c_order_loop_bitwise(monkeypatch, n, kind):
     rng = np.random.default_rng(n)
     spec = BilinearMapSpec(kind, n, unitary=dft_unitary(n) if kind == UNITARY_PRODUCT else None)
+    default_budget = rnmp._BLOCK
     for s, f in ((1, 1), (min(n, 3), min(n, 2)), (min(n, 4), min(n, 5))):
         i_set = support_from_indices(rng.choice(n, s, replace=False), n)
         # pointwise images vanish off I ∩ J, so let J overlap I
         j_set = support_from_indices(list(i_set.indices[:1]) + list(
             rng.choice(n, f - 1, replace=False)), n)
+        cx, cy = ConeSpec(i_set, SUBSPACE), ConeSpec(j_set, SUBSPACE)
         images = basis_images(spec, i_set, j_set)
-        xc = rng.standard_normal((300, i_set.size))
-        yc = rng.standard_normal((300, j_set.size))
-        support, zk = apply_restricted_batch(images, xc, yc)
-        assert zk.flags.f_contiguous and zk.base is not None  # a view, not a copy
-        # the support is where some basis image is nonzero
-        assert np.array_equal(support, np.flatnonzero(images.any(axis=(0, 1))))
-        z = np.zeros((300, n))
-        z[:, support] = zk
-        assert np.array_equal(z, c_order_restricted(images, xc, yc))
+        # 300 pairs in the default blocks, then in blocks of 7 (the last of 6)
+        per_sample = i_set.size + j_set.size + i_set.size * j_set.size + np.count_nonzero(
+            images.any(axis=(0, 1)))
+        for budget in (default_budget, 7 * per_sample):
+            monkeypatch.setattr(rnmp, "_BLOCK", budget)
+            blocks = list(cone_pair_blocks(images, cx, cy, 300, n))
+            sizes = [len(block[0]) for block in blocks]
+            assert sum(sizes) == 300
+            assert budget == default_budget or sizes == [7] * 42 + [6]
+            for xc, yc, support, zk, _ in blocks:
+                assert zk.flags.f_contiguous and zk.base is not None  # a view, not a copy
+                # the support is where some basis image is nonzero
+                assert np.array_equal(support, np.flatnonzero(images.any(axis=(0, 1))))
+                z = np.zeros((len(xc), n))
+                z[:, support] = zk
+                assert np.array_equal(z, c_order_restricted(images, xc, yc))
 
 
 def test_brute_estimates_tighten_with_more_samples():
@@ -440,17 +458,18 @@ def test_alternating_starts_are_the_first_pairs_of_the_brute_sweep(monkeypatch, 
     cx = ConeSpec(support_from_indices([0, 2, 3], 8), kind_x)
     cy = ConeSpec(support_from_indices([1, 5], 8), kind_y)
     swept, started = [], []
-    real_apply, real_alternate = rnmp.apply_restricted_batch, rnmp._alternate
+    real_blocks, real_alternate = rnmp.cone_pair_blocks, rnmp._alternate
 
-    def apply(images, xc, yc):
-        swept.append((xc.copy(), yc.copy()))
-        return real_apply(images, xc, yc)
+    def blocks(*args):
+        for block in real_blocks(*args):
+            swept.append((block[0].copy(), block[1].copy()))
+            yield block
 
     def alternate(images, kinds, x, y, *rest):
         started.append((x.copy(), y.copy()))
         return real_alternate(images, kinds, x, y, *rest)
 
-    monkeypatch.setattr(rnmp, "apply_restricted_batch", apply)
+    monkeypatch.setattr(rnmp, "cone_pair_blocks", blocks)
     monkeypatch.setattr(rnmp, "_alternate", alternate)
     estimate_brute(spec, cx, cy, samples=50, seed=17)
     sweep_x, sweep_y = (np.concatenate(side) for side in zip(*swept))

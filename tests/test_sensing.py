@@ -9,7 +9,7 @@ from bilinear_cs import cli, rnmp, sensing
 from bilinear_cs.bilinear_ops import (CIRCULAR_CONVOLUTION, POINTWISE,
                                       BilinearMapSpec, apply_map_batch)
 from bilinear_cs.bounds import c0
-from bilinear_cs.rnmp import apply_restricted_batch, basis_images
+from bilinear_cs.rnmp import basis_images, cone_pair_blocks
 from bilinear_cs.sensing import (GAUSSIAN, RADEMACHER, ConcentrationResult,
                                  DistortionReport, MeasurementEnsemble,
                                  concentration_test, generate, orthonormal_rows,
@@ -236,25 +236,29 @@ RIP_MC_SHAPES = [(20_000, 256, 64)] + [(1_000 + 50 * c, 64, 16 * (1 + c % 2))
 
 
 def test_measuring_the_restricted_view_matches_the_c_ordered_product():
-    # rip_monte_carlo measures the F-ordered view apply_restricted_batch
-    # returns, on its support; at the benchmark's shapes the gemm must give
-    # the bits it gives on the full-length images, F- or C-ordered
+    # rip_monte_carlo measures the F-ordered view that each block of
+    # cone_pair_blocks holds, on its support; at the benchmark's shapes
+    # the gemm must give the bits it gives on the full-length images, on
+    # every block (short last blocks included), and the full-length
+    # images must give the same bits F- or C-ordered on a first block of
+    # at least 1000 rows (on blocks of a few dozen rows they need not)
     rng = np.random.default_rng(0)
     for c, (t, n, m) in enumerate(RIP_MC_SHAPES):
         kind = POINTWISE if c % 2 else CIRCULAR_CONVOLUTION
         i_idx = sorted(rng.choice(n, 3, replace=False))
         j_idx = sorted({i_idx[0], *rng.choice(n, 2, replace=False)})
-        images = basis_images(BilinearMapSpec(kind, n), cone(n, i_idx).support,
-                              cone(n, j_idx).support)
-        support, zk = apply_restricted_batch(images, rng.standard_normal((t, len(i_idx))),
-                                             rng.standard_normal((t, len(j_idx))))
-        rows = np.zeros((n, t))
-        rows[support] = zk.T
-        z = rows.T
+        cx, cy = cone(n, i_idx), cone(n, j_idx)
+        images = basis_images(BilinearMapSpec(kind, n), cx.support, cy.support)
         phi = generate(MeasurementEnsemble(GAUSSIAN, m, n, t))
-        assert z.flags.f_contiguous and zk.flags.f_contiguous
-        assert np.array_equal(z @ phi.T, np.ascontiguousarray(z) @ phi.T), (t, n, m)
-        assert np.array_equal(zk @ phi[:, support].T, z @ phi.T), (t, n, m)
+        for b, (_, _, support, zk, _) in enumerate(cone_pair_blocks(images, cx, cy, t, c)):
+            rows = np.zeros((n, len(zk)))
+            rows[support] = zk.T
+            z = rows.T
+            assert z.flags.f_contiguous and zk.flags.f_contiguous
+            if b == 0:
+                assert len(z) >= 1000
+                assert np.array_equal(z @ phi.T, np.ascontiguousarray(z) @ phi.T), (t, n, m)
+            assert np.array_equal(zk @ phi[:, support].T, z @ phi.T), (t, n, m, b)
 
 
 def test_rip_monte_carlo_all_degenerate_is_an_error():
