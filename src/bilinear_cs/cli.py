@@ -148,22 +148,27 @@ def json_text(obj) -> str:
 
 
 _Table = Mapping[str, Sequence]  # a CSV table: column name -> cells, in order
+_CSV_ROWS = 4096  # rows formatted and written at a time
 
 
 def _column_text(column: Sequence) -> list:
     """One CSV column: floats as their shortest round-trip repr, str otherwise."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return list(map(repr, column.tolist()))
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return list(map(repr, column.tolist()))  # a Python int's repr is its str
+    if isinstance(column, range):
+        return list(map(str, column))
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in column]
 
 
 def _write_csv(path: str, header_lines: Sequence[str], table: _Table) -> None:
-    """Write a table column by column, in one write."""
-    texts = [_column_text(c) for c in table.values()]
-    lines = [f"# {line}" for line in header_lines] + [",".join(table)]
-    lines += map(",".join, zip(*texts))
+    """Write the header lines and the column names, then the rows in chunks
+    of `_CSV_ROWS`, each formatted column by column: no text spans the table."""
+    rows = min(map(len, table.values()), default=0)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"# {line}\n" for line in header_lines) + ",".join(table) + "\n")
+        for start in range(0, rows, _CSV_ROWS):
+            texts = [_column_text(c[start:start + _CSV_ROWS]) for c in table.values()]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _config_header(config: ExperimentConfig) -> list:

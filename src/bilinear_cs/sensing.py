@@ -129,12 +129,15 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
     The pairs are `estimate_brute`'s at the same seed, taken block by
     block from `rnmp.cone_pair_blocks` with their images on the output
     support, K of the N coordinates; each block's Phi z is measured with
-    the K columns of Phi, so no array spans N or the whole sweep (save
-    the distortions).  Each norm sums its image's squares over the K
-    coordinates in order.  Phi z keeps the bits of the full-length
-    product while the support lies in one 256-wide block of OpenBLAS's
-    gemm (always at N <= 256) and more than one sample of its block is
-    measured, else it may differ in the last bit.
+    the K columns of Phi in runs of at most `_BLOCK // M` rows, squared
+    in place (a lone last row joins the run before it: a one-row product
+    is a gemv), and the distortions fill one n_samples array in order,
+    so no other array spans N or the whole sweep.  Each image's norm
+    sums its squares over the K coordinates in order.  Phi z keeps the
+    bits of the full-length product while the support lies in one
+    256-wide block of OpenBLAS's gemm (always at N <= 256) and more than
+    one sample of its block is measured, else it may differ in the last
+    bit.
 
     `ensemble` may be a MeasurementEnsemble or an explicit M x N matrix
     (e.g. orthonormalized rows for the isometry control).  Outputs with
@@ -159,14 +162,22 @@ def rip_monte_carlo(map_spec: BilinearMapSpec,
         ensemble_seed = None
 
     images = basis_images(map_spec, cone_x.support, cone_y.support)
-    parts, skipped = [], 0
+    run = max(2, _BLOCK // phi.shape[0])  # rows of one Phi z product
+    abs_dist, done, skipped = np.empty(n_samples), 0, 0
     for _, _, support, zs, norms in cone_pair_blocks(images, cone_x, cone_y, n_samples, seed):
         keep = norms >= DEGENERATE_NORM
         if not keep.all():
             skipped += int(np.sum(~keep))
             zs, norms = zs[keep], norms[keep]
-        parts.append(np.abs(np.linalg.norm(zs @ phi[:, support].T, axis=1) / norms - 1.0))
-    abs_dist = np.concatenate(parts)
+        phi_k, rows = phi[:, support].T, norms.size
+        for start in range(0, max(rows - 1, 1), run):  # a lone last row joins its run
+            stop = start + run if start + run < rows - 1 else rows
+            squares = zs[start:stop] @ phi_k
+            squares *= squares  # np.linalg.norm's sum of squares, with no second array
+            abs_dist[done + start:done + stop] = np.abs(
+                np.sqrt(squares.sum(axis=1)) / norms[start:stop] - 1.0)
+        done += rows
+    abs_dist = abs_dist[:done]
     if not abs_dist.size:
         raise ValueError(f"all sampled outputs were degenerate (norm < {DEGENERATE_NORM}); "
                          "the cone pair looks null under this map")

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -645,6 +646,42 @@ def test_write_csv_cells_read_back(tmp_path, header):
     # a table without rows still writes its header and column names
     cli._write_csv(str(tmp_path / "t0.csv"), header, {"M": [], "rate": np.empty(0)})
     assert read_csv(tmp_path / "t0.csv") == (header, ["M", "rate"], [])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("header", [[], ["version=0", "seed=3"]])
+def test_write_csv_in_chunks_equals_the_one_shot_text(tmp_path, rows, header):
+    # the rows are written in chunks of 4096; the file is the text of
+    # every line joined at once
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    ints = np.arange(rows, dtype=np.int64) * -(2 ** 40)
+    strs = [f"c{r % 7}" for r in range(rows)]
+    table = {"index": range(rows), "int": ints, "float": floats, "py": floats.tolist(),
+             "str": strs}
+    lines = [f"# {line}" for line in header] + [",".join(table)]
+    lines += [f"{r},{i},{f!r},{f!r},{s}" for r, i, f, s in
+              zip(range(rows), ints.tolist(), floats.tolist(), strs)]
+    cli._write_csv(str(tmp_path / "t.csv"), header, table)
+    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_rip_mc_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # the CSV text is formatted and written 4096 rows at a time; building
+    # every row's text before the write peaked near 54 MB here
+    path = write_config(tmp_path, "rip.json", {
+        "schema": 1, "command": "rip-mc", "seed": 4, "format": "csv",
+        "output": str(tmp_path / "rip.csv"),
+        "parameters": {"map": "circular_convolution", "n": 256, "i": [0, 5, 17],
+                       "j": [2, 3, 40], "M": 64, "n_samples": 200_000, "delta": 0.5}})
+    tracemalloc.start()
+    try:
+        assert main(["--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert len((tmp_path / "rip.csv").read_text().splitlines()) == 200_000 + 8
 
 
 def _recording(monkeypatch, name, seen):

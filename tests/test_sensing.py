@@ -229,6 +229,72 @@ def test_rip_monte_carlo_skips_a_degenerate_row(monkeypatch):
     assert np.array_equal(rep.abs_distortions, np.delete(full.abs_distortions, 17))
 
 
+def runs_case():
+    """The benchmark's N = 256, M = 64 shape: its sampler block height and
+    the rows of one Phi z product, which split that block several times."""
+    spec = BilinearMapSpec(CIRCULAR_CONVOLUTION, 256)
+    cx, cy = cone(256, [0, 5, 17]), cone(256, [2, 3, 40])
+    phi = generate(MeasurementEnsemble(GAUSSIAN, 64, 256, 3))
+    images = basis_images(spec, cx.support, cy.support)
+    block = next(cone_pair_blocks(images, cx, cy, 10 ** 9, 0))[3].shape[0]
+    run = rnmp._BLOCK // 64
+    assert block > 2 * run
+    return spec, cx, cy, phi, block, run
+
+
+def measured_alone(images, cx, cy, phi, n_samples, seed):
+    """Whether the last sample's distortion changes when its row is
+    measured alone (a gemv) instead of with the row before it."""
+    *_, (_, _, support, zs, norms) = cone_pair_blocks(images, cx, cy, n_samples, seed)
+    phi_k = phi[:, support].T
+    pair = np.linalg.norm(zs[-2:] @ phi_k, axis=1)[1]
+    alone = np.linalg.norm(zs[-1:] @ phi_k, axis=1)[0]
+    return abs(alone / norms[-1] - 1.0) != abs(pair / norms[-1] - 1.0)
+
+
+@pytest.mark.parametrize("samples, lone", [
+    (lambda block, run: run + 1, True),  # one block whose last run would be one row
+    (lambda block, run: 2 * run + 1, True),
+    (lambda block, run: block, False),
+    (lambda block, run: block + 2 * run + 1, True),  # so would the last block's
+    (lambda block, run: 3 * block + run // 3, False),
+], ids=["run+1", "2run+1", "block", "block+2run+1", "3block+run/3"])
+def test_rip_monte_carlo_in_runs_matches_dense_path_bitwise(samples, lone):
+    # each block is measured in runs of _BLOCK // M rows, a lone last row
+    # joining the run before it (a one-row product is a gemv); at seed 98
+    # the lone rows' cases would change a distortion if measured alone
+    spec, cx, cy, phi, block, run = runs_case()
+    n_samples, seed = samples(block, run), 98
+    images = basis_images(spec, cx.support, cy.support)
+    assert not lone or measured_alone(images, cx, cy, phi, n_samples, seed)
+    rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=n_samples, delta=0.5, seed=seed)
+    want = dense_distortions(spec, cx, cy, phi, n_samples, seed)
+    assert rep.n_samples == n_samples and rep.skipped == 0
+    assert np.array_equal(rep.abs_distortions, want)
+
+
+def test_rip_monte_carlo_in_runs_skips_a_degenerate_row(monkeypatch):
+    # a row skipped in the second block's second run shifts every later
+    # distortion by one place and keeps its bits
+    spec, cx, cy, phi, block, run = runs_case()
+    n_samples = 2 * block + run
+    full = rip_monte_carlo(spec, cx, cy, phi, n_samples=n_samples, delta=0.5, seed=5)
+    draw, calls = rnmp.unit_cone_coefficients, []
+
+    def draw_with_zero_row(cone_spec, count, rng):
+        out = draw(cone_spec, count, rng)
+        if cone_spec is cx:
+            calls.append(count)
+            if len(calls) == 2:
+                out[run + 7] = 0.0
+        return out
+
+    monkeypatch.setattr(rnmp, "unit_cone_coefficients", draw_with_zero_row)
+    rep = rip_monte_carlo(spec, cx, cy, phi, n_samples=n_samples, delta=0.5, seed=5)
+    assert rep.skipped == 1 and rep.n_samples == n_samples - 1
+    assert np.array_equal(rep.abs_distortions, np.delete(full.abs_distortions, block + run + 7))
+
+
 # the rip-mc shapes (samples, N, M) of the benchmark's measurement_recovery
 # batch: four 20000-sample configs at N = 256, forty at N = 64
 RIP_MC_SHAPES = [(20_000, 256, 64)] + [(1_000 + 50 * c, 64, 16 * (1 + c % 2))
