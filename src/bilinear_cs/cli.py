@@ -1,11 +1,15 @@
 """Batch experiment runner: every module as a subcommand.
 
-One binary, JSON configs, deterministic outputs.  A config names a
-command (rnmp | bounds | rip-mc | concentration | recover | phase),
-its parameter block, a seed, an output path and a format.  Outputs
-embed the full config plus the package version so a result file is its
-own provenance record; there are no timestamps, so the same config
-produces byte-identical files.
+One binary, JSON configs, deterministic outputs.  A config holds only
+six keys (`_CONFIG`): the schema, a command (rnmp | bounds | rip-mc |
+concentration | recover | phase), its parameters (`_COMMANDS`, which
+names the method, algorithm or `solve_samples: 1` each knob is used
+with), a seed, an output path and a format; one rule checks both tables
+(`_checked`) and rejects an unknown key or a knob used with another
+method.
+Outputs embed the full config plus the package version so a result file
+is its own provenance record; there are no timestamps, so the same
+config produces byte-identical files.
 
 Floats are printed as their shortest round-trip repr everywhere (JSON
 and CSV), so doubles, -0.0 included, read back bit for bit.  Exit
@@ -22,7 +26,7 @@ import json
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +42,7 @@ from .sensing import (ENSEMBLE_KINDS, GAUSSIAN, ConcentrationResult, DistortionR
 from .sparse_model import CONE_KINDS, SUBSPACE, ConeSpec, support_from_indices
 
 SCHEMA_VERSION = 1
-COMMANDS = ("rnmp", "bounds", "rip-mc", "concentration", "recover", "phase")
 FORMATS = ("json", "csv")
-_CSV_COMMANDS = ("bounds", "rip-mc", "phase")
 
 _CLI_MAPS = {"pointwise": POINTWISE, "circular_convolution": CIRCULAR_CONVOLUTION}
 
@@ -56,31 +58,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The record `run` takes; building one checks it by `_CONFIG`."""
+
     command: str
-    parameters: Mapping
+    parameters: dict
     seed: int
     output_path: str
     format: str = "json"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError("command", f"must be one of {COMMANDS}, got {self.command!r}")
-        if self.format not in FORMATS:
-            raise ConfigError("format", f"must be one of {FORMATS}, got {self.format!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError("seed", f"must be a non-negative integer, got {self.seed!r}")
-        if not self.output_path:
-            raise ConfigError("output", "missing output path")
+        _checked(_CONFIG, self.echo(), "top-level key")
 
     def echo(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "parameters": dict(self.parameters),
-            "seed": self.seed,
-            "output": self.output_path,
-            "format": self.format,
-        }
+        """The six top-level fields, as a config file holds them."""
+        return {"schema": SCHEMA_VERSION, "command": self.command, "parameters": self.parameters,
+                "seed": self.seed, "output": self.output_path, "format": self.format}
 
 
 def load_config(path: str, seed_override: Optional[int] = None,
@@ -95,21 +87,11 @@ def load_config(path: str, seed_override: Optional[int] = None,
         raise ConfigError("config", f"not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
-    if raw.get("schema") != SCHEMA_VERSION:
-        raise ConfigError("schema", f"expected {SCHEMA_VERSION}, got {raw.get('schema')!r}")
-    for key in ("command", "parameters"):
-        if key not in raw:
-            raise ConfigError(key, "missing")
-    params = raw["parameters"]
-    if not isinstance(params, dict):
-        raise ConfigError("parameters", "must be an object")
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    output = output_override if output_override is not None else raw.get("output")
-    fmt = format_override if format_override is not None else raw.get("format", "json")
-    if output is None:
-        raise ConfigError("output", "missing (set in config or pass --output)")
-    return ExperimentConfig(command=raw["command"], parameters=params, seed=seed,
-                            output_path=output, format=fmt)
+    overrides = {"seed": seed_override, "output": output_override, "format": format_override}
+    top = _checked(_CONFIG, {**raw, **{k: v for k, v in overrides.items() if v is not None}},
+                   "top-level key")
+    return ExperimentConfig(command=top["command"], parameters=top["parameters"],
+                            seed=top["seed"], output_path=top["output"], format=top["format"])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +160,7 @@ def _config_header(config: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# parameter table
+# field tables
 
 REQUIRED = object()  # the default of a field that must be set
 
@@ -199,6 +181,8 @@ _KINDS = {
     "int": (_is_int, "an integer"),
     "float": (_is_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
+    "path": (lambda v: isinstance(v, str) and bool(v), "a non-empty string"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
     "ints": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)),
              "a non-empty list of integers"),
     "floats": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
@@ -206,58 +190,38 @@ _KINDS = {
 }
 
 
-# command -> field -> (kind, default, check); a check is a tuple of the
-# allowed values, comparisons such as ">= 1" or "> 0, < 1" that a number
-# (each entry of a list) must pass, or None
+# a table maps field -> (kind, default, check[, owner]); a check is a
+# tuple of the allowed values, comparisons such as ">= 1" or "> 0, < 1"
+# that a number (each entry of a list) must pass, or None; an owner
+# (field, value) is the one setting of another field that uses this one
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 _MAP = {"map": ("str", REQUIRED, tuple(_CLI_MAPS)), "n": ("int", REQUIRED, ">= 1")}
 _CONES = {"i": ("ints", REQUIRED, None), "j": ("ints", REQUIRED, None),
           "cone_x": ("str", SUBSPACE, CONE_KINDS), "cone_y": ("str", SUBSPACE, CONE_KINDS)}
 _ENSEMBLE = {"ensemble": ("str", GAUSSIAN, ENSEMBLE_KINDS), "M": ("int", REQUIRED, ">= 1")}
 _DELTA = ("float", REQUIRED, "> 0, < 1")
-_PARAMETERS = {
-    "rnmp": {**_MAP, **_CONES,
-             "method": ("str", "grid", ("brute", "alternating", "grid")),
-             "samples": ("int", 10_000, ">= 1"), "restarts": ("int", 8, ">= 1"),
-             "grid_per_dim": ("int", 64, ">= 3")},
-    "bounds": {"case": ("str", REQUIRED, CASES), "S": ("int", REQUIRED, ">= 2"),
-               "F": ("int", REQUIRED, ">= 2"), "delta": _DELTA,
-               "M": ("int", None, ">= 1"), "m_grid": ("ints", None, ">= 1"),
-               "N": ("int", None, ">= 1"), "p_target": ("float", None, "> 0, <= 1"),
-               "solve_samples": ("int", 0, (0, 1))},
-    "rip-mc": {**_MAP, **_CONES, **_ENSEMBLE, "n_samples": ("int", 10_000, ">= 1"),
-               "delta": _DELTA},
-    "concentration": {"n": ("int", REQUIRED, ">= 1"), **_ENSEMBLE,
-                      "trials": ("int", REQUIRED, ">= 100"), "delta": _DELTA,
-                      "r": ("floats", None, None)},
-    "recover": {**_MAP, **_CONES, **_ENSEMBLE, "noise_sigma": ("float", 0.0, ">= 0"),
-                "algorithm": ("str", "iht", ("iht", "oracle")), "k": ("int", None, ">= 1"),
-                "max_iters": ("int", 500, ">= 1"), "tol": ("float", 1e-8, "> 0")},
-    "phase": {**_MAP, "S": ("int", REQUIRED, ">= 1"), "F": ("int", REQUIRED, ">= 1"),
-              "cone_kind": ("str", SUBSPACE, CONE_KINDS),
-              "m_grid": ("ints", REQUIRED, ">= 1"), "trials": ("int", REQUIRED, ">= 1"),
-              "delta_success": ("float", 1e-3, "> 0")},
-}
+_IHT = ("algorithm", "iht")
 
 
-def _parameters(config: ExperimentConfig) -> dict:
-    """The command's fields: unknown keys rejected, each given field
-    checked once, defaults filled in, numbers of kind float made floats."""
-    fields = _PARAMETERS[config.command]
-    for key in config.parameters:
+def _checked(fields: Mapping, given: Mapping, what: str) -> dict:
+    """`given` by the table `fields`: unknown keys rejected, each given
+    field checked once, defaults filled in, numbers of kind float made
+    floats; then, so that a field out of its range is named first, a
+    field given under another setting than its owner's rejected."""
+    for key in given:
         if key not in fields:
-            raise ConfigError(key, f"unknown parameter (allowed: {sorted(fields)})")
+            raise ConfigError(key, f"unknown {what} (allowed: {sorted(fields)})")
     p = {}
-    for name, (kind, default, check) in fields.items():
-        if name not in config.parameters:
+    for name, (kind, default, check, *_) in fields.items():
+        if name not in given:
             if default is REQUIRED:
-                raise ConfigError(name, "missing required parameter")
+                raise ConfigError(name, f"missing required {what}")
             p[name] = default
             continue
-        value = config.parameters[name]
-        accepts, what = _KINDS[kind]
+        value = given[name]
+        accepts, what_kind = _KINDS[kind]
         if not accepts(value):
-            raise ConfigError(name, f"must be {what}, got {value!r}")
+            raise ConfigError(name, f"must be {what_kind}, got {value!r}")
         if isinstance(check, tuple) and value not in check:
             raise ConfigError(name, f"must be one of {check}, got {value!r}")
         if isinstance(check, str) and not all(
@@ -265,6 +229,10 @@ def _parameters(config: ExperimentConfig) -> dict:
                 for op, bound in (c.split() for c in check.split(", "))):
             raise ConfigError(name, f"must be {check}, got {value!r}")
         p[name] = float(value) if kind == "float" else value
+    for name in given:
+        for key, value in fields[name][3:]:  # the field's owner, if it has one
+            if p[key] != value:
+                raise ConfigError(name, f"used only with {key} = {value!r}, got {p[key]!r}")
     return p
 
 
@@ -383,14 +351,39 @@ def _run_phase(p: dict, seed: int) -> Tuple[PhaseTransitionResult, _Table]:
         "successes": [c.successes for c in cells], "rate": [c.rate for c in cells]}
 
 
-_HANDLERS: Dict[str, Callable[[dict, int], Tuple[object, Optional[_Table]]]] = {
-    "rnmp": _run_rnmp,
-    "bounds": _run_bounds,
-    "rip-mc": _run_rip_mc,
-    "concentration": _run_concentration,
-    "recover": _run_recover,
-    "phase": _run_phase,
+# each command once: (handler, whether it writes CSV, its parameter table)
+_COMMANDS = {
+    "rnmp": (_run_rnmp, False, {
+        **_MAP, **_CONES, "method": ("str", "grid", ("brute", "alternating", "grid")),
+        "samples": ("int", 10_000, ">= 1", ("method", "brute")),
+        "restarts": ("int", 8, ">= 1", ("method", "alternating")),
+        "grid_per_dim": ("int", 64, ">= 3", ("method", "grid"))}),
+    "bounds": (_run_bounds, True, {
+        "case": ("str", REQUIRED, CASES), "S": ("int", REQUIRED, ">= 2"),
+        "F": ("int", REQUIRED, ">= 2"), "delta": _DELTA, "M": ("int", None, ">= 1"),
+        "m_grid": ("ints", None, ">= 1"), "N": ("int", None, ">= 1"),
+        "p_target": ("float", None, "> 0, <= 1", ("solve_samples", 1)),
+        "solve_samples": ("int", 0, (0, 1))}),
+    "rip-mc": (_run_rip_mc, True, {
+        **_MAP, **_CONES, **_ENSEMBLE, "n_samples": ("int", 10_000, ">= 1"),
+        "delta": _DELTA}),
+    "concentration": (_run_concentration, False, {
+        "n": ("int", REQUIRED, ">= 1"), **_ENSEMBLE, "trials": ("int", REQUIRED, ">= 100"),
+        "delta": _DELTA, "r": ("floats", None, None)}),
+    "recover": (_run_recover, False, {
+        **_MAP, **_CONES, **_ENSEMBLE, "noise_sigma": ("float", 0.0, ">= 0"),
+        "algorithm": ("str", "iht", ("iht", "oracle")), "k": ("int", None, ">= 1", _IHT),
+        "max_iters": ("int", 500, ">= 1", _IHT), "tol": ("float", 1e-8, "> 0", _IHT)}),
+    "phase": (_run_phase, True, {
+        **_MAP, "S": ("int", REQUIRED, ">= 1"), "F": ("int", REQUIRED, ">= 1"),
+        "cone_kind": ("str", SUBSPACE, CONE_KINDS), "m_grid": ("ints", REQUIRED, ">= 1"),
+        "trials": ("int", REQUIRED, ">= 1"), "delta_success": ("float", 1e-3, "> 0")}),
 }
+COMMANDS = tuple(_COMMANDS)
+# the six top-level fields of a config
+_CONFIG = {"schema": ("int", REQUIRED, (SCHEMA_VERSION,)), "command": ("str", REQUIRED, COMMANDS),
+           "parameters": ("object", REQUIRED, None), "seed": ("int", 0, ">= 0"),
+           "output": ("path", REQUIRED, None), "format": ("str", "json", FORMATS)}
 
 
 def _fail(exc: Exception) -> int:
@@ -407,10 +400,11 @@ def _fail(exc: Exception) -> int:
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     try:
-        if config.format == "csv" and config.command not in _CSV_COMMANDS:
+        handler, csv, fields = _COMMANDS[config.command]
+        if config.format == "csv" and not csv:
             raise ConfigError("format",
                               f"command {config.command!r} has no CSV schema; use json")
-        payload, table = _HANDLERS[config.command](_parameters(config), config.seed)
+        payload, table = handler(_checked(fields, config.parameters, "parameter"), config.seed)
         if config.format == "csv":
             _write_csv(config.output_path, _config_header(config), table)
         else:

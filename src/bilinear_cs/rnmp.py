@@ -23,10 +23,12 @@ runs the min and max runs of all its restarts as one lockstep stack
 (`_alternate`).  The certifier grids one cone and solves the other
 exactly: with the outer argument u fixed, T(u, .) is the matrix
 A(u) = sum_k u_k B_k, whose extreme singular values are the extreme
-ratios over an inner subspace.  The sampler and the certifier work in
-blocks of one working-set budget, `_BLOCK` floats: block size changes no
-result, since draws fill in stream order and the first extreme wins
-across blocks.
+ratios over an inner subspace.  The sampler works in blocks of one
+working-set budget, `_BLOCK` floats, and the certifier evaluates its
+outer grid in chunks of that budget, though it builds the grid whole
+(g^(k-1) k floats), and on two orthants each chunk and the witness scan
+span the whole inner grid.  Block size changes no result: draws fill in
+stream order, and the first extreme wins across blocks.
 
 Three estimators with different trade-offs:
 
@@ -51,6 +53,7 @@ from .sparse_model import (POSITIVE_ORTHANT, ConeSpec, Support, row_norms,
 GRID_GUARD = 10 ** 8
 _BLOCK = 65_536  # floats in the working set of a sampled block or a certifier chunk
 _TOL = 1e-9  # an alternating run stops once a step improves it by less
+_MAX_ITERS = 200  # or after this many steps, unconverged
 
 
 @dataclass(frozen=True)
@@ -246,7 +249,7 @@ def _half_step(a, use_max, kind, current, side):
     return np.where(better[:, None], v, side), np.where(better, cand, current)
 
 
-def _alternate(images, kinds, x, y, use_max, max_iters):
+def _alternate(images, kinds, x, y, use_max):
     """Alternating runs from starts x (T, S) and y (T, F) in lockstep, max
     where use_max, else min; values, x, y and converged flags in order.
 
@@ -260,7 +263,7 @@ def _alternate(images, kinds, x, y, use_max, max_iters):
     out = [current.copy(), x.copy(), y.copy()]
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         previous = current
         y, current = _half_step(_restricted(x, images), use_max, kinds[1], current, y)
         x, current = _half_step(_restricted(y, images_t), use_max, kinds[0], current, x)
@@ -278,15 +281,15 @@ def _alternate(images, kinds, x, y, use_max, max_iters):
 
 
 def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSpec,
-                         restarts: int = 8, max_iters: int = 200,
-                         seed: int = 0) -> AlternatingEstimate:
+                         restarts: int = 8, seed: int = 0) -> AlternatingEstimate:
     """Alternating singular-direction search for alpha (min) and beta (max).
 
     Fixing one argument makes the restricted map linear; the update picks
     the extreme right singular direction of that matrix, built from the
     basis images, projected to the cone for positive orthants.  Updates
     are only accepted when they improve, so the objective is monotone
-    across iterations; a run stops once a step gains less than `_TOL`.
+    across iterations; a run stops once a step gains less than `_TOL`, or
+    unconverged after `_MAX_ITERS` steps.
     The starts are the first `restarts` pairs of `estimate_brute`'s sweep
     at the seed, so the estimates are at least as extreme as that sweep's
     (up to rounding).  All restarts' min and max runs are one stack.
@@ -299,7 +302,7 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     kinds = (cone_x.kind, cone_y.kind)
     # members 0..restarts-1 are the min runs, the rest the max runs
     val, x, y, converged = _alternate(images, kinds, np.tile(x0, (2, 1)), np.tile(y0, (2, 1)),
-                                      np.repeat([False, True], restarts), max_iters)
+                                      np.repeat([False, True], restarts))
     # the first restart wins ties, as in a scan in restart order
     i_a = int(np.argmin(val[:restarts]))
     i_b = restarts + int(np.argmax(val[restarts:]))

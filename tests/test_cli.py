@@ -146,6 +146,14 @@ def test_config_validation():
     assert err.value.field == "seed"
     with pytest.raises(ConfigError):
         ExperimentConfig(command="bounds", parameters={}, seed=0, output_path="")
+    # the same table as a config file's keys
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(command="bounds", parameters=[("case", "pointwise")], seed=0,
+                         output_path="x")
+    assert err.value.field == "parameters"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(command="bounds", parameters={}, seed=0, output_path=5)
+    assert err.value.field == "output"
 
 
 def test_load_config_and_overrides(tmp_path):
@@ -464,6 +472,18 @@ CONE_PAIR = {"map": "circular_convolution", "n": 8, "i": [0, 1], "j": [0, 4]}
     ("rnmp", {**CONE_PAIR, "method": "grid", "grid_per_dim": 2}, "grid_per_dim"),
     # a knob the chosen method ignores is checked all the same
     ("rnmp", {**CONE_PAIR, "method": "grid", "samples": 0}, "samples"),
+    # and, in range, rejected beside another method or algorithm
+    ("rnmp", {**CONE_PAIR, "method": "grid", "samples": 10}, "samples"),
+    ("rnmp", {**CONE_PAIR, "samples": 10}, "samples"),  # grid by default
+    ("rnmp", {**CONE_PAIR, "method": "brute", "restarts": 2}, "restarts"),
+    ("rnmp", {**CONE_PAIR, "method": "alternating", "grid_per_dim": 8}, "grid_per_dim"),
+    ("recover", {**CONE_PAIR, "M": 4, "algorithm": "oracle", "k": 2}, "k"),
+    ("recover", {**CONE_PAIR, "M": 4, "algorithm": "oracle", "max_iters": 50}, "max_iters"),
+    ("recover", {**CONE_PAIR, "M": 4, "algorithm": "oracle", "tol": 1e-6}, "tol"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100, "N": 64,
+                "p_target": 0.01}, "p_target"),
+    ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100, "N": 64,
+                "p_target": 0.01, "solve_samples": 0}, "p_target"),
     ("rip-mc", {**CONE_PAIR, "M": 4, "delta": 0.5, "n_samples": 0}, "n_samples"),
     ("recover", {**CONE_PAIR, "M": 4, "max_iters": 0}, "max_iters"),
     ("bounds", {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "m_grid": []},
@@ -535,6 +555,19 @@ def test_out_of_range_count_exits_2_naming_the_field(tmp_path, capsys, command, 
     assert len(err) == 1
     assert json.loads(err[0])["error"]["kind"] == "config"
     assert json.loads(err[0])["error"]["field"] == field
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("key", ["sede", "Seed", "parameter", "outptu", "version"])
+def test_unknown_top_level_key_exits_2(tmp_path, capsys, key):
+    body = {"schema": 1, "command": "bounds", "seed": 0, "output": str(tmp_path / "out.json"),
+            "parameters": {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100},
+            key: 7}
+    assert main(["--config", write_config(tmp_path, "cfg.json", body)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["kind"] == "config"
+    assert json.loads(err[0])["error"]["field"] == key
     assert not (tmp_path / "out.json").exists()
 
 
@@ -825,7 +858,7 @@ def _old_bounds_json(p):
 
 def _bounds_payload(p):
     """The `bounds` result the CLI writes for the parameters p."""
-    return cli._run_bounds(cli._parameters(ExperimentConfig("bounds", p, 0, "out.json")), 0)[0]
+    return cli._run_bounds(cli._checked(cli._COMMANDS["bounds"][2], p, "parameter"), 0)[0]
 
 
 def _old_phase_cell_json(c):

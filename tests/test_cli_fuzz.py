@@ -14,25 +14,31 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bilinear_cs import cli
 from bilinear_cs.cli import COMMANDS, main
 
-# one small valid parameter block per command, every key set
+# small valid parameter blocks of each command that set every field of
+# its table between them: one per rnmp method and recover algorithm, as a
+# knob is rejected beside another method, and bounds with M or m_grid
+BOUNDS = {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5}
+RNMP = {"map": "circular_convolution", "n": 5, "i": [0, 1], "j": [0, 2],
+        "cone_x": "subspace", "cone_y": "positive_orthant"}
+RECOVER = {"map": "circular_convolution", "n": 16, "i": [0, 1], "j": [0, 4],
+           "cone_x": "subspace", "cone_y": "subspace", "ensemble": "gaussian",
+           "M": 8, "noise_sigma": 0.0}
 VALID = {
-    "rnmp": {"map": "circular_convolution", "n": 5, "i": [0, 1], "j": [0, 2],
-             "cone_x": "subspace", "cone_y": "positive_orthant", "method": "grid",
-             "samples": 200, "restarts": 2, "grid_per_dim": 8},
-    "bounds": {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5, "M": 100,
-               "m_grid": [100, 200], "N": 64, "p_target": 0.01, "solve_samples": 1},
-    "rip-mc": {"map": "pointwise", "n": 8, "i": [0, 1, 2], "j": [1, 2, 3],
-               "cone_x": "subspace", "cone_y": "subspace", "ensemble": "gaussian",
-               "M": 4, "n_samples": 50, "delta": 0.5},
-    "concentration": {"n": 8, "M": 4, "ensemble": "rademacher", "trials": 100,
-                      "delta": 0.5, "r": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]},
-    "recover": {"map": "circular_convolution", "n": 16, "i": [0, 1], "j": [0, 4],
+    "rnmp": [{**RNMP, "method": "grid", "grid_per_dim": 8},
+             {**RNMP, "method": "alternating", "restarts": 2},
+             {**RNMP, "method": "brute", "samples": 200}],
+    "bounds": [{**BOUNDS, "M": 100, "N": 64, "p_target": 0.01, "solve_samples": 1},
+               {**BOUNDS, "m_grid": [100, 200]}],
+    "rip-mc": [{"map": "pointwise", "n": 8, "i": [0, 1, 2], "j": [1, 2, 3],
                 "cone_x": "subspace", "cone_y": "subspace", "ensemble": "gaussian",
-                "M": 8, "noise_sigma": 0.0, "algorithm": "iht", "k": 4,
-                "max_iters": 50, "tol": 1e-8},
-    "phase": {"map": "circular_convolution", "n": 8, "S": 2, "F": 2,
-              "cone_kind": "subspace", "m_grid": [4, 8], "trials": 2,
-              "delta_success": 1e-3},
+                "M": 4, "n_samples": 50, "delta": 0.5}],
+    "concentration": [{"n": 8, "M": 4, "ensemble": "rademacher", "trials": 100,
+                       "delta": 0.5, "r": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]}],
+    "recover": [{**RECOVER, "algorithm": "iht", "k": 4, "max_iters": 50, "tol": 1e-8},
+                {**RECOVER, "algorithm": "oracle"}],
+    "phase": [{"map": "circular_convolution", "n": 8, "S": 2, "F": 2,
+               "cone_kind": "subspace", "m_grid": [4, 8], "trials": 2,
+               "delta_success": 1e-3}],
 }
 assert sorted(VALID) == sorted(COMMANDS)
 
@@ -46,7 +52,7 @@ BAD = st.sampled_from([None, True, "x", "1", float("nan"), 1.5, 1.0, 2.0, 0, -1,
 @st.composite
 def parameter_blocks(draw, command):
     params = {}
-    for key, value in VALID[command].items():
+    for key, value in draw(st.sampled_from(VALID[command])).items():
         action = draw(st.sampled_from(["keep", "keep", "drop", "bad"]))
         if action == "keep":
             params[key] = value
@@ -60,7 +66,17 @@ def parameter_blocks(draw, command):
 def test_valid_blocks_set_every_field_of_the_table():
     # a field added to the CLI's table needs a valid value here to be fuzzed
     for command in COMMANDS:
-        assert VALID[command].keys() == cli._PARAMETERS[command].keys(), command
+        assert set().union(*VALID[command]) == cli._COMMANDS[command][2].keys(), command
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_valid_blocks_run(tmp_path, command):
+    # each block the fuzzer starts from is accepted as it stands
+    for params in VALID[command]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": 1, "command": command, "parameters": params,
+                                    "output": str(tmp_path / "out.json")}))
+        assert main(["--config", str(path)]) == 0, params
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -415,7 +415,8 @@ ALTERNATING_SUPPORTS = [
 
 
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 200])
-def test_alternating_stack_matches_lone_runs_bitwise(max_iters):
+def test_alternating_stack_matches_lone_runs_bitwise(max_iters, monkeypatch):
+    monkeypatch.setattr(rnmp, "_MAX_ITERS", max_iters)
     stack_stops = []
     for kind in (POINTWISE, CIRCULAR_CONVOLUTION, UNITARY_PRODUCT):
         for n, i_idx, j_idx in ALTERNATING_SUPPORTS:
@@ -426,8 +427,7 @@ def test_alternating_stack_matches_lone_runs_bitwise(max_iters):
                                    (SUBSPACE, POSITIVE_ORTHANT)):
                 cx = ConeSpec(support_from_indices(i_idx, n), kind_x)
                 cy = ConeSpec(support_from_indices(j_idx, n), kind_y)
-                est = estimate_alternating(spec, cx, cy, restarts=6,
-                                           max_iters=max_iters, seed=n)
+                est = estimate_alternating(spec, cx, cy, restarts=6, seed=n)
                 alpha, beta, wit_a, wit_b, converged, runs = lone_alternating(
                     spec, cx, cy, 6, max_iters, est.tol, seed=n)
                 assert est.alpha_est == alpha and est.beta_est == beta
