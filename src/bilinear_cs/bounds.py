@@ -6,9 +6,8 @@ cones, the resulting lower bound on the embedding success probability,
 and a solver for the sample count needed in the union-bound regime over
 all canonical support pairs.
 
-Conventions fixed for reproducibility: natural logarithm throughout
-(including the "log S" in the Rogers covering bound), probabilities
-reported raw (possibly negative, i.e. vacuous) alongside a clamped copy,
+Conventions fixed for reproducibility: natural logarithm throughout,
+probabilities reported raw (possibly negative, i.e. vacuous) alongside a clamped copy,
 and exact binomial pair counts via log-gamma rather than the looser
 N^(S+F) estimate (which is reported alongside).
 """
@@ -20,9 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 BALL = "ball"
-POSITIVE_CONE_ROGERS = "positive_cone_rogers"
 POSITIVE_CONE_SIMPLIFIED = "positive_cone_simplified"
-COVERING_KINDS = (BALL, POSITIVE_CONE_ROGERS, POSITIVE_CONE_SIMPLIFIED)
+COVERING_KINDS = (BALL, POSITIVE_CONE_SIMPLIFIED)
 
 CASE_POINTWISE = "pointwise"
 CASE_POSITIVE_CONE_CONV = "positive_cone_conv"
@@ -32,8 +30,8 @@ CASES = (CASE_POINTWISE, CASE_POSITIVE_CONE_CONV, CASE_TENSOR_CONV)
 # net radius divisor for the plain K-sparse subspace route (3/(delta/4) = 12/delta)
 POINTWISE_NET_DIVISOR = 4.0
 
-# covering numbers are (base/eps)^dim, times 7 dim ln(dim) for the Rogers form
-_COVERING_BASE = {BALL: 3.0, POSITIVE_CONE_ROGERS: 4.0, POSITIVE_CONE_SIMPLIFIED: 18.0}
+# covering numbers are (base/eps)^dim
+_COVERING_BASE = {BALL: 3.0, POSITIVE_CONE_SIMPLIFIED: 18.0}
 
 
 def d_constant(alpha: float, beta: float) -> float:
@@ -65,7 +63,6 @@ def covering_bound(kind: str, dim: int, eps: float) -> float:
     """Covering-number upper bound N(X^1, X^eps) for the named geometry.
 
     ball:                      (3/eps)^dim
-    positive_cone_rogers:      (4/eps)^dim * 7 dim ln(dim), dim >= 3
     positive_cone_simplified:  (18/eps)^dim
     """
     if kind not in COVERING_KINDS:
@@ -74,11 +71,7 @@ def covering_bound(kind: str, dim: int, eps: float) -> float:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if kind != POSITIVE_CONE_ROGERS:
-        return (_COVERING_BASE[kind] / eps) ** dim
-    if dim < 3:
-        raise ValueError("the Rogers form needs dim >= 3; use positive_cone_simplified")
-    return (_COVERING_BASE[kind] / eps) ** dim * 7.0 * dim * math.log(dim)
+    return (_COVERING_BASE[kind] / eps) ** dim
 
 
 def rip_probability(cov_x: float, cov_y: float, delta: float, m: int) -> float:

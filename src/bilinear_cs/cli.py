@@ -1,14 +1,15 @@
 """Batch experiment runner: every module as a subcommand.
 
-One binary, JSON configs, deterministic outputs.  A config holds only
-six keys (`_CONFIG`): the schema, a command (rnmp | bounds | rip-mc |
-concentration | recover | phase), its parameters (`_COMMANDS`, which
-names the method, algorithm or `solve_samples: 1` each knob is used
-with), a seed, an output path and a format; one rule checks both tables
-(`_checked`) and rejects an unknown key or a knob used with another
+One binary, JSON configs, deterministic outputs.  A config is one plain
+mapping of six keys (`_CONFIG`): the schema, a command (rnmp | bounds |
+rip-mc | concentration | recover | phase), its parameters (`_COMMANDS`,
+which names the method, algorithm or `solve_samples: 1` each knob is
+used with), a seed, an output path and a format.  `run` checks it once
+by `_CONFIG` and its parameters once by the command's table, by one rule
+(`_checked`) that rejects an unknown key or a knob used with another
 method.
-Outputs embed the full config plus the package version so a result file
-is its own provenance record; there are no timestamps, so the same
+Outputs embed the checked config plus the package version so a result
+file is its own provenance record; there are no timestamps, so the same
 config produces byte-identical files.
 
 Floats are printed as their shortest round-trip repr everywhere (JSON
@@ -25,7 +26,6 @@ import functools
 import json
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,28 +56,11 @@ class ConfigError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The record `run` takes; building one checks it by `_CONFIG`."""
-
-    command: str
-    parameters: dict
-    seed: int
-    output_path: str
-    format: str = "json"
-
-    def __post_init__(self):
-        _checked(_CONFIG, self.echo(), "top-level key")
-
-    def echo(self) -> dict:
-        """The six top-level fields, as a config file holds them."""
-        return {"schema": SCHEMA_VERSION, "command": self.command, "parameters": self.parameters,
-                "seed": self.seed, "output": self.output_path, "format": self.format}
-
-
 def load_config(path: str, seed_override: Optional[int] = None,
                 output_override: Optional[str] = None,
-                format_override: Optional[str] = None) -> ExperimentConfig:
+                format_override: Optional[str] = None) -> dict:
+    """The config file at `path` as a mapping, each override that is not
+    None in place of its key; `run` checks it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -88,10 +71,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
     overrides = {"seed": seed_override, "output": output_override, "format": format_override}
-    top = _checked(_CONFIG, {**raw, **{k: v for k, v in overrides.items() if v is not None}},
-                   "top-level key")
-    return ExperimentConfig(command=top["command"], parameters=top["parameters"],
-                            seed=top["seed"], output_path=top["output"], format=top["format"])
+    return {**raw, **{k: v for k, v in overrides.items() if v is not None}}
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +133,10 @@ def _write_csv(path: str, header_lines: Sequence[str], table: _Table) -> None:
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-def _config_header(config: ExperimentConfig) -> list:
+def _config_header(config: Mapping) -> list:
     return [f"version={__version__}"] + [
         f"{key}={json_text(value) if isinstance(value, dict) else value}"
-        for key, value in sorted(config.echo().items())]
+        for key, value in sorted(config.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +377,24 @@ def _fail(exc: Exception) -> int:
     return code
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute a validated config; returns the process exit status."""
+def run(config: Mapping) -> int:
+    """Check a config mapping by `_CONFIG` (which fills in seed 0 and
+    format "json"), then its parameters by the command's table, and
+    execute it; returns the process exit status.  The output embeds the
+    checked mapping."""
     try:
-        handler, csv, fields = _COMMANDS[config.command]
-        if config.format == "csv" and not csv:
+        config = _checked(_CONFIG, config, "top-level key")
+        handler, csv, fields = _COMMANDS[config["command"]]
+        if config["format"] == "csv" and not csv:
             raise ConfigError("format",
-                              f"command {config.command!r} has no CSV schema; use json")
-        payload, table = handler(_checked(fields, config.parameters, "parameter"), config.seed)
-        if config.format == "csv":
-            _write_csv(config.output_path, _config_header(config), table)
+                              f"command {config['command']!r} has no CSV schema; use json")
+        payload, table = handler(_checked(fields, config["parameters"], "parameter"),
+                                 config["seed"])
+        if config["format"] == "csv":
+            _write_csv(config["output"], _config_header(config), table)
         else:
-            document = {"version": __version__, "config": config.echo(),
-                        "result": payload}
-            with open(config.output_path, "w") as fh:
+            document = {"version": __version__, "config": config, "result": payload}
+            with open(config["output"], "w") as fh:
                 fh.write(json_text(document) + "\n")
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
         return _fail(exc)

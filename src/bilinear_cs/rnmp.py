@@ -14,7 +14,8 @@ On canonical supports I and J of sizes S and F the restricted map is
 fixed by its basis images B[a, b] = T(e_{i_a}, e_{j_b}) (`basis_images`,
 shape (S, F, N)); every estimator works on B in coefficient space.  One
 sampler, `cone_pair_blocks`, owns every sweep of random unit pairs (the
-brute sweep, the alternating starts and `sensing.rip_monte_carlo`): it
+brute sweep and `sensing.rip_monte_carlo`; the alternating starts are
+drawn from its streams without evaluating them): it
 evaluates (T, S) and (T, F) coefficient blocks on the output support of
 B alone (at most S F of the N coordinates under convolution), never at
 length N; an image's norm is the root of its squares summed over those
@@ -146,13 +147,19 @@ def _embed(coeffs: np.ndarray, cone: ConeSpec) -> np.ndarray:
     return v
 
 
+def _cone_streams(seed: int) -> Tuple[np.random.Generator, np.random.Generator]:
+    """The x and y streams of the sampled sweep: two children of `seed`."""
+    return tuple(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2)))
+
+
 def cone_pair_blocks(images: np.ndarray, cone_x: ConeSpec, cone_y: ConeSpec,
                      samples: int, seed: int):
     """`samples` random unit pairs (x_t, y_t) on the cone pair of the basis
     images B = `images`, in blocks, with their images T(x_t, y_t).
 
-    The x and y draws come from two streams spawned off `seed`, so a
-    larger `samples` extends (rather than reshuffles) the sweep.  A block
+    The x and y draws come from the two streams `_cone_streams` spawns
+    off `seed` (the ones `estimate_alternating` draws its starts from), so
+    a larger `samples` extends (rather than reshuffles) the sweep.  A block
     holds the pairs that fit `_BLOCK` floats at S + F coefficients, S F
     pair products and K image coordinates each; a lone last pair joins
     the block before it (a one-row product is a gemv).  The output
@@ -173,7 +180,7 @@ def cone_pair_blocks(images: np.ndarray, cone_x: ConeSpec, cone_y: ConeSpec,
     coeffs = coeffs[:, support]
     terms = [(k, j, coeffs[j, k]) for k, j in zip(*np.nonzero(coeffs.T))]
     block = max(1, _BLOCK // (s + f + s * f + support.size))
-    rng_x, rng_y = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    rng_x, rng_y = _cone_streams(seed)
     while samples > 0:
         count = samples if samples <= block + 1 else block
         xc = unit_cone_coefficients(cone_x, count, rng_x)
@@ -290,15 +297,19 @@ def estimate_alternating(spec: BilinearMapSpec, cone_x: ConeSpec, cone_y: ConeSp
     are only accepted when they improve, so the objective is monotone
     across iterations; a run stops once a step gains less than `_TOL`, or
     unconverged after `_MAX_ITERS` steps.
-    The starts are the first `restarts` pairs of `estimate_brute`'s sweep
-    at the seed, so the estimates are at least as extreme as that sweep's
-    (up to rounding).  All restarts' min and max runs are one stack.
+    The starts are drawn, not evaluated, from the sweep's two streams
+    (`_cone_streams`): they are the first `restarts` pairs of
+    `estimate_brute`'s sweep at the seed, so the estimates are at least
+    as extreme as that sweep's (up to rounding).  The one exception is a
+    degenerate row (norm < 1e-12) redrawn inside a sweep block that ends
+    before the last start.  All restarts' min and max runs are one stack.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     images = basis_images(spec, cone_x.support, cone_y.support)
-    x0, y0 = (np.concatenate(side) for side in zip(*(
-        block[:2] for block in cone_pair_blocks(images, cone_x, cone_y, restarts, seed))))
+    rng_x, rng_y = _cone_streams(seed)
+    x0 = unit_cone_coefficients(cone_x, restarts, rng_x)
+    y0 = unit_cone_coefficients(cone_y, restarts, rng_y)
     kinds = (cone_x.kind, cone_y.kind)
     # members 0..restarts-1 are the min runs, the rest the max runs
     val, x, y, converged = _alternate(images, kinds, np.tile(x0, (2, 1)), np.tile(y0, (2, 1)),

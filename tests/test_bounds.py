@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from bilinear_cs.bounds import (BALL, CASE_POINTWISE, CASE_POSITIVE_CONE_CONV,
-                                CASE_TENSOR_CONV, POSITIVE_CONE_ROGERS,
-                                POSITIVE_CONE_SIMPLIFIED, application_probability,
-                                c0, compose_bound_report, covering_bound,
+                                CASE_TENSOR_CONV, POSITIVE_CONE_SIMPLIFIED,
+                                application_probability, c0, compose_bound_report, covering_bound,
                                 d_constant, rip_probability,
                                 union_bound_samples)
 from bilinear_cs.cli import json_text
@@ -67,19 +66,10 @@ def test_covering_frozen_values():
     assert covering_bound(BALL, 1, 1.0) == 3.0
     assert covering_bound(BALL, 4, 0.5) == 1296.0
     assert covering_bound(POSITIVE_CONE_SIMPLIFIED, 2, 1.0) == 324.0
-    assert covering_bound(POSITIVE_CONE_ROGERS, 3, 0.5) == 11812.279327759516
-
-
-def test_covering_rogers_beats_simplified():
-    # the refined positive-cone count is sharper once dim >= 3
-    for dim in (3, 4, 6, 10):
-        for eps in (1.0, 0.5, 0.1):
-            assert (covering_bound(POSITIVE_CONE_ROGERS, dim, eps)
-                    < covering_bound(POSITIVE_CONE_SIMPLIFIED, dim, eps))
 
 
 def test_covering_monotone_in_eps():
-    for kind, dim in ((BALL, 5), (POSITIVE_CONE_SIMPLIFIED, 5), (POSITIVE_CONE_ROGERS, 5)):
+    for kind, dim in ((BALL, 5), (POSITIVE_CONE_SIMPLIFIED, 5)):
         vals = [covering_bound(kind, dim, e) for e in (1.0, 0.5, 0.25, 0.1)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -93,8 +83,6 @@ def test_covering_domain():
         covering_bound(BALL, 3, 0.0)
     with pytest.raises(ValueError):
         covering_bound(BALL, 3, 1.5)
-    with pytest.raises(ValueError):
-        covering_bound(POSITIVE_CONE_ROGERS, 2, 0.5)
 
 
 def test_rip_probability_formula_and_degenerate_m():

@@ -11,7 +11,7 @@ import pytest
 from bilinear_cs import __version__, cli, rnmp
 from bilinear_cs.bilinear_ops import CIRCULAR_CONVOLUTION, BilinearMapSpec
 from bilinear_cs.bounds import compose_bound_report, union_bound_samples
-from bilinear_cs.cli import ConfigError, ExperimentConfig, json_text, load_config, main, run
+from bilinear_cs.cli import ConfigError, json_text, load_config, main, run
 from bilinear_cs.recovery import (BilinearModel, RecoveryProblem, iht, oracle_least_squares,
                                   output_support, phase_transition, simulate_problem)
 from bilinear_cs.sensing import (GAUSSIAN, RADEMACHER, MeasurementEnsemble,
@@ -132,68 +132,55 @@ def test_rnmp_witness_keeps_negative_zero(tmp_path):
     assert negative_zeros > 0
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig(command="juggle", parameters={}, seed=0, output_path="x")
-    assert err.value.field == "command"
-    with pytest.raises(ConfigError):
-        ExperimentConfig(command="bounds", parameters={}, seed=0,
-                         output_path="x", format="yaml")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(command="bounds", parameters={}, seed="zero", output_path="x")
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig(command="bounds", parameters={}, seed=-1, output_path="x")
-    assert err.value.field == "seed"
-    with pytest.raises(ConfigError):
-        ExperimentConfig(command="bounds", parameters={}, seed=0, output_path="")
-    # the same table as a config file's keys
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig(command="bounds", parameters=[("case", "pointwise")], seed=0,
-                         output_path="x")
-    assert err.value.field == "parameters"
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig(command="bounds", parameters={}, seed=0, output_path=5)
-    assert err.value.field == "output"
+def rejected_field(config, capsys) -> str:
+    """The field `run` names when it rejects `config` with exit 2."""
+    assert run(config) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"]["kind"] == "config"
+    return json.loads(err[0])["error"]["field"]
+
+
+def test_config_validation(tmp_path, capsys):
+    top = {"schema": 1, "command": "bounds", "parameters": {}, "seed": 0,
+           "output": str(tmp_path / "x")}
+    for key, value in [("command", "juggle"), ("format", "yaml"), ("seed", "zero"),
+                       ("seed", -1), ("output", ""), ("parameters", [("case", "pointwise")]),
+                       ("output", 5)]:
+        assert rejected_field({**top, key: value}, capsys) == key
+    assert not (tmp_path / "x").exists()
 
 
 def test_load_config_and_overrides(tmp_path):
     path = bounds_config(tmp_path)
     cfg = load_config(path)
-    assert cfg.command == "bounds" and cfg.seed == 0
+    assert cfg == json.loads(Path(path).read_text())
     cfg2 = load_config(path, seed_override=9, format_override="csv",
                        output_override="elsewhere.csv")
-    assert cfg2.seed == 9 and cfg2.format == "csv"
-    assert cfg2.output_path == "elsewhere.csv"
+    assert cfg2 == {**cfg, "seed": 9, "format": "csv", "output": "elsewhere.csv"}
 
 
-def test_load_config_rejections(tmp_path):
+def test_load_config_rejections(tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
         load_config(str(tmp_path / "absent.json"))
     assert err.value.field == "config"
 
-    bad_schema = write_config(tmp_path, "s.json",
-                              {"schema": 2, "command": "bounds",
-                               "parameters": {}, "output": "o"})
-    with pytest.raises(ConfigError) as err:
-        load_config(bad_schema)
-    assert err.value.field == "schema"
-
-    no_cmd = write_config(tmp_path, "c.json",
-                          {"schema": 1, "parameters": {}, "output": "o"})
-    with pytest.raises(ConfigError) as err:
-        load_config(no_cmd)
-    assert err.value.field == "command"
-
-    no_out = write_config(tmp_path, "o.json",
-                          {"schema": 1, "command": "bounds", "parameters": {}})
-    with pytest.raises(ConfigError) as err:
-        load_config(no_out)
-    assert err.value.field == "output"
-
     garbled = tmp_path / "g.json"
     garbled.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         load_config(str(garbled))
+    assert err.value.field == "config"
+
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, "l.json", [1, 2]))
+    assert err.value.field == "config"
+
+    # the fields are checked by run, so a file loads and run names the field
+    for field, body in [
+            ("schema", {"schema": 2, "command": "bounds", "parameters": {}, "output": "o"}),
+            ("command", {"schema": 1, "parameters": {}, "output": "o"}),
+            ("output", {"schema": 1, "command": "bounds", "parameters": {}})]:
+        assert rejected_field(load_config(write_config(tmp_path, "c.json", body)),
+                              capsys) == field
 
 
 def test_bounds_command_payload(tmp_path):
@@ -629,21 +616,52 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 
 
 def test_run_accepts_programmatic_config(tmp_path):
-    cfg = ExperimentConfig(command="bounds",
-                           parameters={"case": "pointwise", "S": 4, "F": 9,
-                                       "delta": 0.5, "M": 3000},
-                           seed=0, output_path=str(tmp_path / "prog.json"))
+    cfg = {"schema": 1, "command": "bounds",
+           "parameters": {"case": "pointwise", "S": 4, "F": 9, "delta": 0.5, "M": 3000},
+           "output": str(tmp_path / "prog.json")}
     assert run(cfg) == 0
     doc = json.loads((tmp_path / "prog.json").read_text())
+    # the checked mapping, its defaults filled in
+    assert doc["config"] == {**cfg, "seed": 0, "format": "json"}
     # pointwise exponent uses min(S, F): swapping S and F changes nothing
-    cfg2 = ExperimentConfig(command="bounds",
-                            parameters={"case": "pointwise", "S": 9, "F": 4,
-                                        "delta": 0.5, "M": 3000},
-                            seed=0, output_path=str(tmp_path / "prog2.json"))
+    cfg2 = {**cfg, "parameters": {**cfg["parameters"], "S": 9, "F": 4},
+            "output": str(tmp_path / "prog2.json")}
     assert run(cfg2) == 0
     doc2 = json.loads((tmp_path / "prog2.json").read_text())
     assert doc["result"]["success_probability_lower"] == \
         doc2["result"]["success_probability_lower"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_config_file_and_mapping_write_the_same_bytes(tmp_path, fmt):
+    out = tmp_path / f"out.{fmt}"
+    body = {"schema": 1, "command": "bounds", "output": str(out),
+            "parameters": {"case": "tensor_conv", "S": 3, "F": 3, "delta": 0.5,
+                           "m_grid": [100, 2000]}}
+    if fmt == "csv":
+        body["format"] = "csv"
+    assert main(["--config", write_config(tmp_path, "cfg.json", body)]) == 0
+    from_file = out.read_bytes()
+    out.unlink()
+    assert run(body) == 0
+    assert out.read_bytes() == from_file
+    if fmt == "csv":
+        assert b"# format=csv\n" in from_file and b"# seed=0\n" in from_file
+    else:
+        assert json.loads(from_file)["config"] == {**body, "seed": 0, "format": "json"}
+
+
+def test_each_config_is_checked_once(tmp_path, monkeypatch):
+    # one pass over the top-level keys, then one over the parameters
+    checked, real = [], cli._checked
+
+    def counting(fields, given, what):
+        checked.append(what)
+        return real(fields, given, what)
+
+    monkeypatch.setattr(cli, "_checked", counting)
+    assert main(["--config", bounds_config(tmp_path)]) == 0
+    assert checked == ["top-level key", "parameter"]
 
 
 def read_csv(path):
